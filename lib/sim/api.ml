@@ -66,6 +66,21 @@ let cell_of_view : type a. a view -> Cell.t option = function
   | V_spin_abortable (c, _) -> Some c
   | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
 
+(* Direct match instead of [cell_of_view]: the shared [some_name] keeps the
+   per-instruction crash consult free of option boxes. *)
+let cell_name : type a. a view -> string option = function
+  | V_read c -> c.some_name
+  | V_write (c, _) -> c.some_name
+  | V_cas (c, _, _) -> c.some_name
+  | V_fas (c, _) -> c.some_name
+  | V_fas_open_unsafe (_, c, _) -> c.some_name
+  | V_fas_persist (c, _, _) -> c.some_name
+  | V_write_close_unsafe (_, c, _) -> c.some_name
+  | V_faa (c, _) -> c.some_name
+  | V_spin (c, _) -> c.some_name
+  | V_spin_abortable (c, _) -> c.some_name
+  | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
+
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 
 let read c = Effect.perform (Instr (V_read c))
@@ -88,12 +103,23 @@ let spin_until c cond = Effect.perform (Instr (V_spin (c, cond)))
 
 let spin_abortable c cond = Effect.perform (Instr (V_spin_abortable (c, cond)))
 
-let poll_abort () = Effect.perform (Instr V_poll_abort)
+(* The argument-free instructions perform one shared effect value each: an
+   [Instr V_yield] built per call would be a fresh block per step, and the
+   engine answers these four from preallocated suspensions. *)
+let poll_abort_instr = Instr V_poll_abort
+
+let get_done_instr = Instr V_get_done
+
+let get_step_instr = Instr V_get_step
+
+let yield_instr = Instr V_yield
+
+let poll_abort () = Effect.perform poll_abort_instr
 
 let note n = Effect.perform (Instr (V_note n))
 
-let completed_requests () = Effect.perform (Instr V_get_done)
+let completed_requests () = Effect.perform get_done_instr
 
-let step () = Effect.perform (Instr V_get_step)
+let step () = Effect.perform get_step_instr
 
-let yield () = Effect.perform (Instr V_yield)
+let yield () = Effect.perform yield_instr

@@ -10,7 +10,15 @@
     node and are remote to every process, which is the standard treatment of
     global variables such as the MCS [tail] pointer. *)
 
-type t = private { id : int; name : string; home : int }
+type t = private {
+  id : int;
+  name : string;
+  home : int;
+  some_name : string option;
+      (** [Some name], built once here so that per-instruction consumers
+          (crash-plan [op_info]) share it instead of boxing a fresh option
+          on every step. *)
+}
 
 val global : int
 (** Home value meaning "remote to every process". *)

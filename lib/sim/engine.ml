@@ -72,16 +72,21 @@ type result = {
   events : Event.t list;
 }
 
-type status = Stopped | Suspended : 'a Api.view * ('a, status) Effect.Deep.continuation -> status
-
+(* The suspended instruction is the process state: the effect handler's
+   answer type is [pstate] itself, so a suspension is stored as returned. *)
 type parked = {
-  pk : (unit, status) Effect.Deep.continuation;
+  pk : (unit, pstate) Effect.Deep.continuation;
   pcell : Cell.t;
   pcond : Api.cond;
   pabort : bool;  (* abortable park: an abort signal also wakes it *)
 }
 
-type pstate = Start | Ready of status | Parked of parked | Woken of parked | Halted
+and pstate =
+  | Start
+  | Ready : 'a Api.view * ('a, pstate) Effect.Deep.continuation -> pstate
+  | Parked of parked
+  | Woken of parked
+  | Halted
 
 (* Run journal, the raw material of checkpoints.  One-shot effect
    continuations cannot be copied, so a checkpoint cannot snapshot the
@@ -207,15 +212,36 @@ let default_on_crash ~pid:_ ~step:_ = ()
 
 let default_on_op (_ : Crash.op_info) = ()
 
-let handler : (unit, status) Effect.Deep.handler =
+(* Suspensions for the argument-free instructions, built once: {!Api}
+   performs one shared effect value for each, so a step of one of them
+   allocates only the runtime's continuation and the [Ready] block. *)
+let suspend_yield =
+  Some (fun (k : (unit, pstate) Effect.Deep.continuation) -> Ready (Api.V_yield, k))
+
+let suspend_step =
+  Some (fun (k : (int, pstate) Effect.Deep.continuation) -> Ready (Api.V_get_step, k))
+
+let suspend_done =
+  Some (fun (k : (int, pstate) Effect.Deep.continuation) -> Ready (Api.V_get_done, k))
+
+let suspend_poll_abort =
+  Some (fun (k : (bool, pstate) Effect.Deep.continuation) -> Ready (Api.V_poll_abort, k))
+
+(* A body that returns, or dies of an injected crash, is [Halted]. *)
+let handler : (unit, pstate) Effect.Deep.handler =
   {
-    retc = (fun () -> Stopped);
-    exnc = (function Crashed -> Stopped | e -> raise e);
+    retc = (fun () -> Halted);
+    exnc = (function Crashed -> Halted | e -> raise e);
     effc =
-      (fun (type c) (eff : c Effect.t) ->
+      (fun (type c) (eff : c Effect.t) :
+           ((c, pstate) Effect.Deep.continuation -> pstate) option ->
         match eff with
+        | Api.Instr Api.V_yield -> suspend_yield
+        | Api.Instr Api.V_get_step -> suspend_step
+        | Api.Instr Api.V_get_done -> suspend_done
+        | Api.Instr Api.V_poll_abort -> suspend_poll_abort
         | Api.Instr view ->
-            Some (fun (k : (c, status) Effect.Deep.continuation) -> Suspended (view, k))
+            Some (fun (k : (c, pstate) Effect.Deep.continuation) -> Ready (view, k))
         | _ -> None);
   }
 
@@ -273,8 +299,8 @@ let ans_value : type a. a Api.view -> a -> int =
 
 let diverged what = failwith ("Engine: journal replay divergence (" ^ what ^ ")")
 
-let continue_ans : type a. a Api.view -> (a, status) Effect.Deep.continuation -> int -> int -> status
-    =
+let continue_ans :
+    type a. a Api.view -> (a, pstate) Effect.Deep.continuation -> int -> int -> pstate =
  fun view k tag value ->
   (* No helper closures here: this runs once per journal entry and closure
      allocation on that path is measurable. *)
@@ -639,18 +665,17 @@ let do_crash eng pid (kont : (unit -> unit) option) =
   eng.states.(pid) <- Start;
   eng.on_crash ~pid ~step:eng.step
 
-let discontinue_of (type a) (k : (a, status) Effect.Deep.continuation) () =
+let discontinue_of (type a) (k : (a, pstate) Effect.Deep.continuation) () =
   match Effect.Deep.discontinue k Crashed with
-  | Stopped -> ()
-  | Suspended _ ->
+  | Halted -> ()
+  | Start | Ready _ | Parked _ | Woken _ ->
       (* The body swallowed [Crashed] and kept computing: forbidden. *)
       failwith "Engine: process body must not catch the crash exception"
 
 let crash_now eng pid =
   match eng.states.(pid) with
   | Start -> do_crash eng pid None (* crash in NCS: nothing to discard *)
-  | Ready (Suspended (_, k)) -> do_crash eng pid (Some (discontinue_of k))
-  | Ready Stopped -> assert false
+  | Ready (_, k) -> do_crash eng pid (Some (discontinue_of k))
   | Parked p | Woken p -> do_crash eng pid (Some (discontinue_of p.pk))
   | Halted -> ()
 
@@ -665,11 +690,6 @@ let system_crash_now eng =
     crash_now eng pid
   done
 
-let absorb eng pid (st : status) =
-  match st with
-  | Stopped -> eng.states.(pid) <- Halted
-  | Suspended _ -> eng.states.(pid) <- Ready st
-
 let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
  fun eng pid view ->
   let info =
@@ -678,7 +698,7 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
       step = eng.step;
       op_index = eng.op_index.(pid);
       kind = Api.kind_of_view view;
-      cell = (match Api.cell_of_view view with Some c -> Some c.Cell.name | None -> None);
+      cell = Api.cell_name view;
       note = (match view with Api.V_note n -> Some n | _ -> None);
       unsafe_wrt = eng.unsafe_open.(pid);
     }
@@ -692,66 +712,62 @@ let park eng pid (p : parked) =
   eng.states.(pid) <- Parked p;
   Hashtbl.replace eng.parked_cells p.pcell.Cell.id ()
 
-(* Execute the pending instruction of [pid]. *)
-let exec eng pid (st : status) =
-  match st with
-  | Stopped -> assert false
-  | Suspended (view, k) -> (
-      let decision =
-        if eng.consult_ops then begin
-          let info = op_info eng pid view in
-          (* The abort consult precedes the crash consult, so a signal fired
-             on an op the crash plan then suppresses still counts as
-             delivered — and [replay_plan] winds both plans in the same
-             order. *)
-          if eng.has_abort && Abort.on_op eng.abort info then
-            signal_abort eng ~origin:info.Crash.op_index pid;
-          Crash.on_op eng.crash info
-        end
-        else begin
-          (* Fast path: no plan and no hook reads the [op_info], so only the
-             per-process op counter (part of the state key) advances. *)
-          eng.op_index.(pid) <- eng.op_index.(pid) + 1;
-          Crash.No_crash
-        end
-      in
-      match decision with
-      | Crash Before -> do_crash eng pid (Some (discontinue_of k))
-      | (No_crash | Crash After) as decision -> (
-          let crash_after =
-            match decision with Crash.Crash _ -> true | Crash.No_crash -> false
-          in
-          match view with
-          | Api.V_spin (cell, cond) ->
-              let v = Memory.read_u eng.mem ~pid cell in
-              charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-              record_op eng pid view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else if Api.cond_holds cond v then begin
-                jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-                absorb eng pid (Effect.Deep.continue k ())
-              end
-              else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
-          | Api.V_spin_abortable (cell, cond) ->
-              let v = Memory.read_u eng.mem ~pid cell in
-              charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-              record_op eng pid view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
-                jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-                absorb eng pid (Effect.Deep.continue k ())
-              end
-              else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
-          | _ ->
-              let res = apply_view eng pid view in
-              charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
-              record_op eng pid view;
-              wake_after eng view;
-              if crash_after then do_crash eng pid (Some (discontinue_of k))
-              else begin
-                jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
-                absorb eng pid (Effect.Deep.continue k res)
-              end))
+(* Execute [pid]'s pending instruction [view], suspended at [k]. *)
+let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuation -> unit =
+ fun eng pid view k ->
+  let decision =
+    if eng.consult_ops then begin
+      let info = op_info eng pid view in
+      (* The abort consult precedes the crash consult, so a signal fired
+         on an op the crash plan then suppresses still counts as
+         delivered — and [replay_plan] winds both plans in the same
+         order. *)
+      if eng.has_abort && Abort.on_op eng.abort info then
+        signal_abort eng ~origin:info.Crash.op_index pid;
+      Crash.on_op eng.crash info
+    end
+    else begin
+      (* Fast path: no plan and no hook reads the [op_info], so only the
+         per-process op counter (part of the state key) advances. *)
+      eng.op_index.(pid) <- eng.op_index.(pid) + 1;
+      Crash.No_crash
+    end
+  in
+  match decision with
+  | Crash Before -> do_crash eng pid (Some (discontinue_of k))
+  | (No_crash | Crash After) as decision -> (
+      let crash_after = match decision with Crash.Crash _ -> true | Crash.No_crash -> false in
+      match view with
+      | Api.V_spin (cell, cond) ->
+          let v = Memory.read_u eng.mem ~pid cell in
+          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
+          record_op eng pid view;
+          if crash_after then do_crash eng pid (Some (discontinue_of k))
+          else if Api.cond_holds cond v then begin
+            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
+            eng.states.(pid) <- Effect.Deep.continue k ()
+          end
+          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
+      | Api.V_spin_abortable (cell, cond) ->
+          let v = Memory.read_u eng.mem ~pid cell in
+          charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
+          record_op eng pid view;
+          if crash_after then do_crash eng pid (Some (discontinue_of k))
+          else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
+            jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
+            eng.states.(pid) <- Effect.Deep.continue k ()
+          end
+          else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
+      | _ ->
+          let res = apply_view eng pid view in
+          charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
+          record_op eng pid view;
+          wake_after eng view;
+          if crash_after then do_crash eng pid (Some (discontinue_of k))
+          else begin
+            jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
+            eng.states.(pid) <- Effect.Deep.continue k res
+          end)
 
 let step_process eng pid =
   (* Steps taken while the abort flag is up are the victim's own resolving
@@ -761,14 +777,14 @@ let step_process eng pid =
   | Start ->
       let body = eng.body in
       jpush eng (jt_dispatch lor (pid lsl 3)) 0;
-      absorb eng pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
-  | Ready st -> exec eng pid st
+      eng.states.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () handler
+  | Ready (view, k) -> exec eng pid view k
   | Woken p ->
       let v = Memory.read_u eng.mem ~pid p.pcell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
       if Api.cond_holds p.pcond v || (p.pabort && eng.ab_flag.(pid)) then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        absorb eng pid (Effect.Deep.continue p.pk ())
+        eng.states.(pid) <- Effect.Deep.continue p.pk ()
       end
       else park eng pid p
   | Parked _ | Halted -> assert false
@@ -781,10 +797,9 @@ let step_process eng pid =
 let pending_footprint eng pid =
   match eng.states.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (Suspended (view, _)) ->
-      Footprint.of_view ~pid ~crashy:(eng.footprint_crashy pid) view
+  | Ready (view, _) -> Footprint.of_view ~pid ~crashy:(eng.footprint_crashy pid) view
   | Woken p -> Footprint.waiting ~pid p.pcell
-  | Ready Stopped | Parked _ | Halted -> assert false
+  | Parked _ | Halted -> assert false
 
 (* The state key behind the explorer's decision-node deduplication: a
    compact int-array digest of everything that determines both the future
@@ -1305,20 +1320,15 @@ let capture eng ~pos ~(journal : journal) ~(degrees : int Vec.t) : Snap.t =
    the store and nothing is charged or scheduled here; the store and every
    counter are restored from the snapshot afterwards. *)
 let fast_forward eng (journal : journal) jlen (tags : ptag array) =
-  (* [Stopped] doubles as the "nothing pending" sentinel so the per-entry
+  (* [Halted] doubles as the "nothing pending" sentinel so the per-entry
      bookkeeping allocates nothing; [stopped] tells a genuine halt apart
      from a never-dispatched or crashed incarnation where it matters. *)
-  let pending : status array = Array.make eng.n Stopped in
+  let pending = Array.make eng.n Halted in
   let stopped = Array.make eng.n false in
   let body = eng.body in
   let settle pid st =
-    match st with
-    | Stopped ->
-        pending.(pid) <- Stopped;
-        stopped.(pid) <- true
-    | Suspended _ ->
-        pending.(pid) <- st;
-        stopped.(pid) <- false
+    pending.(pid) <- st;
+    stopped.(pid) <- (match st with Halted -> true | Start | Ready _ | Parked _ | Woken _ -> false)
   in
   let i = ref 0 in
   while !i < jlen do
@@ -1332,16 +1342,16 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
     if tag = jt_dispatch then settle pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
     else if tag = jt_crash then begin
       match pending.(pid) with
-      | Suspended (_, k) ->
+      | Ready (_, k) ->
           discontinue_of k ();
-          pending.(pid) <- Stopped;
+          pending.(pid) <- Halted;
           stopped.(pid) <- false
-      | Stopped -> diverged "crash with no pending instruction"
+      | Start | Parked _ | Woken _ | Halted -> diverged "crash with no pending instruction"
     end
     else begin
       match pending.(pid) with
-      | Suspended (view, k) -> settle pid (continue_ans view k tag value)
-      | Stopped -> diverged "answer with no pending instruction"
+      | Ready (view, k) -> settle pid (continue_ans view k tag value)
+      | Start | Parked _ | Woken _ | Halted -> diverged "answer with no pending instruction"
     end
   done;
   for pid = 0 to eng.n - 1 do
@@ -1352,30 +1362,21 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
     | T_halted ->
         if not stopped.(pid) then diverged "halted process still pending";
         eng.states.(pid) <- Halted
-    | (T_ready | T_parked | T_woken) as tag -> (
+    | T_ready -> (
         match pending.(pid) with
-        | Suspended (view, k) as st -> (
-            match tag with
-            | T_ready -> eng.states.(pid) <- Ready st
-            | T_parked | T_woken -> (
-                match (view, k) with
-                | Api.V_spin (cell, cond), k ->
-                    let p = { pk = k; pcell = cell; pcond = cond; pabort = false } in
-                    if tag = T_parked then begin
-                      eng.states.(pid) <- Parked p;
-                      Hashtbl.replace eng.parked_cells cell.Cell.id ()
-                    end
-                    else eng.states.(pid) <- Woken p
-                | Api.V_spin_abortable (cell, cond), k ->
-                    let p = { pk = k; pcell = cell; pcond = cond; pabort = true } in
-                    if tag = T_parked then begin
-                      eng.states.(pid) <- Parked p;
-                      Hashtbl.replace eng.parked_cells cell.Cell.id ()
-                    end
-                    else eng.states.(pid) <- Woken p
-                | _ -> diverged "parked process not pending on a spin")
-            | _ -> assert false)
-        | Stopped -> diverged "live process with no pending instruction")
+        | Ready _ as st -> eng.states.(pid) <- st
+        | Start | Parked _ | Woken _ | Halted ->
+            diverged "live process with no pending instruction")
+    | (T_parked | T_woken) as tag -> (
+        let resume p = if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p in
+        match pending.(pid) with
+        | Ready (Api.V_spin (cell, cond), k) ->
+            resume { pk = k; pcell = cell; pcond = cond; pabort = false }
+        | Ready (Api.V_spin_abortable (cell, cond), k) ->
+            resume { pk = k; pcell = cell; pcond = cond; pabort = true }
+        | Ready _ -> diverged "parked process not pending on a spin"
+        | Start | Parked _ | Woken _ | Halted ->
+            diverged "live process with no pending instruction")
   done
 
 let restore_counters eng (s : Snap.t) =

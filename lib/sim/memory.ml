@@ -21,8 +21,6 @@ type t = {
      deep parts are never touched (e.g. the base levels of BA-Lock in a
      failure-free run) cost nothing.  Only used under CC. *)
   cached : int array option Vec.t;
-  names : string Vec.t;
-  homes : int Vec.t;
   (* RMR cost of the last unboxed-variant operation ([read_u] etc.): the
      engine's hot loop reads it back instead of allocating a result tuple
      per instruction. *)
@@ -37,8 +35,6 @@ let create model ~n =
     contents = Vec.create ();
     version = Vec.create ();
     cached = Vec.create ();
-    names = Vec.create ();
-    homes = Vec.create ();
     last_cost = 0;
   }
 
@@ -52,8 +48,6 @@ let alloc t ?(home = Cell.global) ~name v =
   let id = Vec.length t.contents in
   Vec.push t.contents v;
   Vec.push t.version 0;
-  Vec.push t.names name;
-  Vec.push t.homes home;
   Vec.push t.cached None;
   Cell.make ~id ~name ~home
 

@@ -229,6 +229,102 @@ let test_open_loop_pacing () =
   check cb "woke at or after due" true (!woke >= due)
 
 (* ------------------------------------------------------------------ *)
+(* Dispatch allocation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per engine step of a one-process `Fast run whose body
+   repeats [instr].  Two run lengths are differenced so the run's set-up
+   cancels; the random scheduler's pick allocates nothing, so what is left
+   is the dispatch of one instruction. *)
+let words_per_step instr =
+  let measure iters =
+    let run () =
+      Engine.run ~mode:`Fast ~n:1 ~model:Memory.CC ~sched:(Sched.random ~seed:1) ~crash:Crash.none
+        ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
+        ~body:(fun c ~pid:_ ->
+          for _ = 1 to iters do
+            instr c
+          done)
+        ()
+    in
+    ignore (run ());
+    let m0 = Gc.minor_words () in
+    let res = run () in
+    (Gc.minor_words () -. m0, res.Engine.steps)
+  in
+  let w1, s1 = measure 1_000 and w2, s2 = measure 21_000 in
+  (w2 -. w1) /. float_of_int (s2 - s1)
+
+(* Ceilings with headroom over the measured 5 and 16 words (OCaml 5.1), so
+   they hold across compilers: a constant instruction allocates only the
+   runtime's continuation and the [Ready] state block. *)
+let test_constant_instr_alloc () =
+  let w = words_per_step (fun _ -> Api.yield ()) in
+  check cb (Printf.sprintf "yield: %.1f words/step <= 8" w) true (w <= 8.0);
+  let w = words_per_step (fun _ -> ignore (Api.step ())) in
+  check cb (Printf.sprintf "step: %.1f words/step <= 8" w) true (w <= 8.0);
+  let w = words_per_step (fun _ -> if Api.step () >= 0 then Api.yield ()) in
+  check cb (Printf.sprintf "step+yield: %.1f words/step <= 8" w) true (w <= 8.0)
+
+let test_read_alloc () =
+  let w = words_per_step (fun c -> ignore (Api.read c)) in
+  check cb (Printf.sprintf "read: %.1f words/step <= 17" w) true (w <= 17.0)
+
+(* A body exercising all four argument-free instructions — the ones
+   answered from preallocated suspensions — next to ordinary memory
+   instructions, under crashes it survives through [completed_requests]. *)
+let constant_instr_body c ~pid =
+  while Api.completed_requests () < 3 do
+    Api.note (Event.Seg Event.Req_begin);
+    let due = Api.step () + 3 + pid in
+    while Api.step () < due do
+      Api.yield ()
+    done;
+    if not (Api.poll_abort ()) then Api.write c (pid + 1);
+    ignore (Api.faa c (Api.completed_requests ()));
+    Api.note (Event.Seg Event.Req_done)
+  done
+
+let const_setup ctx = Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0
+
+let test_constant_instr_modes () =
+  let run mode =
+    Engine.run ~mode ~n:3 ~model:Memory.CC ~sched:(Sched.random ~seed:5) ~crash:Crash.none
+      ~setup:const_setup ~body:constant_instr_body ()
+  in
+  let fast = run `Fast and auto = run `Auto and full = run `Full in
+  check cb "fast = auto" true (fast = auto);
+  check cb "fast = full" true (fast = full);
+  check ci "every request served" 9 (Engine.total_completed fast)
+
+let test_constant_instr_resume () =
+  let crash () = Crash.random ~seed:3 ~rate:0.05 ~max_crashes:4 () in
+  let go ?from ?snap decisions =
+    Engine.run_resumable ?from ?snap ~snap_gap:(if snap = None then 0 else 1) ~record:true
+      ~decisions ~n:3 ~model:Memory.CC ~crash ~setup:const_setup ~body:constant_instr_body ()
+  in
+  let base = Array.init 40 (fun i -> (i * 7) mod 3) in
+  let snaps = ref [] in
+  let rr = go ~snap:(fun s -> snaps := s :: !snaps) base in
+  check cb "the plan crashed someone" true (rr.Engine.rr_result.Engine.total_crashes > 0);
+  check cb "snapshots taken" true (List.length !snaps > 2);
+  List.iter
+    (fun s ->
+      let pos = Engine.Snap.pos s in
+      (* Agree with the capturing run up to the checkpoint (which took
+         choice 0 past the end of [base]), then deviate. *)
+      let decisions =
+        Array.init (pos + 20) (fun i ->
+            if i >= pos then i + 1 else if i < Array.length base then base.(i) else 0)
+      in
+      let resumed = go ~from:s decisions and replayed = go decisions in
+      check cb (Printf.sprintf "resume@%d = replay (result)" pos) true
+        (resumed.Engine.rr_result = replayed.Engine.rr_result);
+      check cb (Printf.sprintf "resume@%d = replay (degrees)" pos) true
+        (resumed.Engine.rr_degrees = replayed.Engine.rr_degrees))
+    !snaps
+
+(* ------------------------------------------------------------------ *)
 (* Metrics.Hist                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +478,16 @@ let () =
             test_fast_rejects_instrumented_configs;
           Alcotest.test_case "api.step monotone" `Quick test_api_step_monotone;
           Alcotest.test_case "open-loop pacing" `Quick test_open_loop_pacing;
+        ] );
+      ( "dispatch",
+        [
+          Alcotest.test_case "constant instructions: words/step ceiling" `Quick
+            test_constant_instr_alloc;
+          Alcotest.test_case "read: words/step ceiling" `Quick test_read_alloc;
+          Alcotest.test_case "constant instructions: fast/auto/full identity" `Quick
+            test_constant_instr_modes;
+          Alcotest.test_case "constant instructions: resume = replay under crashes" `Quick
+            test_constant_instr_resume;
         ] );
       ( "hist",
         [
