@@ -27,30 +27,37 @@ let pp_search_stats ppf s =
 (* Greedy minimisation of a violating decision vector: zero out decisions
    and truncate, keeping every change that still reproduces a violation.
    Zero is the canonical "lowest-pid" choice, so a minimised trace reads as
-   "follow the default schedule except at these points". *)
-let shrink ~reproduces trace =
-  let still_fails t = reproduces t in
-  (* Drop trailing zeros (implied by the default path). *)
-  let rec rstrip = function 0 :: rest -> rstrip rest | t -> t in
-  let canon t = List.rev (rstrip (List.rev t)) in
-  let zero_pass t =
-    let arr = Array.of_list t in
-    let changed = ref false in
-    for i = Array.length arr - 1 downto 0 do
-      if arr.(i) <> 0 then begin
-        let old = arr.(i) in
-        arr.(i) <- 0;
-        if still_fails (canon (Array.to_list arr)) then changed := true else arr.(i) <- old
-      end
+   "follow the default schedule except at these points".  Candidates are
+   edited in place in one array; [reproduces arr len] judges the candidate
+   made of the first [len] entries, trailing zeros (implied by the default
+   path) already dropped. *)
+let shrink_array ~reproduces trace =
+  let arr = Array.of_list trace in
+  let canon () =
+    let k = ref (Array.length arr) in
+    while !k > 0 && arr.(!k - 1) = 0 do
+      decr k
     done;
-    (canon (Array.to_list arr), !changed)
+    !k
   in
-  let rec fix t =
-    let t', changed = zero_pass t in
-    if changed then fix t' else t'
-  in
-  let t = canon trace in
-  if still_fails t then fix t else trace
+  if not (reproduces arr (canon ())) then trace
+  else begin
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for i = Array.length arr - 1 downto 0 do
+        if arr.(i) <> 0 then begin
+          let old = arr.(i) in
+          arr.(i) <- 0;
+          if reproduces arr (canon ()) then changed := true else arr.(i) <- old
+        end
+      done
+    done;
+    Array.to_list (Array.sub arr 0 (canon ()))
+  end
+
+let shrink ~reproduces trace =
+  shrink_array ~reproduces:(fun arr len -> reproduces (Array.to_list (Array.sub arr 0 len))) trace
 
 (* Everything one run needs, bundled so the sequential explorer, the
    shrinker and the per-domain workers of the parallel explorer replay
@@ -91,40 +98,138 @@ let por_setup ~por ~record ~crash ~abort =
           (tier, fun pid -> List.mem pid victims || List.mem pid ab_victims)
       | _ -> (`Off, fun _ -> false))
 
-(* Run one schedule.  Returns the engine result, the branching degree
-   observed at every decision point, the per-choice footprints (flat, in
-   decision order — [None] unless the driver runs with POR), and whether
-   any decision fell outside its degree (an unfaithful replay — see
-   Sched.trace).  [state_key_at]/[on_state_key] pass through to
-   {!Engine.run} (the `Source tier's state-cache key). *)
-let run_trace ?(state_key_at = -1) ?(on_state_key = fun _ -> ()) d trace =
-  let decisions = Vec.of_list trace in
-  let record = Vec.create () in
-  let mismatch = ref false in
-  let sched = Sched.trace ~mismatch ~decisions ~record () in
-  let footprints = if d.por then Some (Vec.create ()) else None in
+(* The buffers one run records into and one frame of the sequential search
+   reads while it expands its children: the branching degree at every
+   decision point, the per-choice footprints (flat, in decision order), and
+   the `Source frame's per-position bookkeeping.  A frame takes a set from
+   its search's pool before its run and returns it on every exit — cache
+   hit, miss or timed-out run — so a search allocates one set per level of
+   its deepest path, not one per run. *)
+type bufs = {
+  degrees : int Vec.t;
+  fps : Footprint.t Vec.t;
+  some_fps : Footprint.t Vec.t option;  (* [Some fps], built once *)
+  offs : int Vec.t;  (* offs.(i): offset of position i's choices in [fps] *)
+  dem : int Vec.t;  (* per own position: demanded sibling mask *)
+  acted : int Vec.t;  (* per own position: siblings already handled *)
+  inh : Footprint.t list Vec.t;  (* per own position: inherited sleepers *)
+  expl : Footprint.t list Vec.t;  (* per own position: explored siblings *)
+}
+
+(* One sequential search's run state.  [path] is the decision vector of
+   the DFS node being run: a frame pushes a child's choices, recurses and
+   truncates back, and {!Sched.trace} reads the vector in place.  A
+   violation converts it to the witness list once. *)
+type 'a runner = {
+  d : 'a driver;
+  path : int Vec.t;
+  pool : bufs Vec.t;
+  mismatch : bool ref;  (* the last run took a decision outside its degree *)
+  key : int array option ref;  (* the last run's state key, when asked for *)
+  on_key : int array -> unit;
+  race : Footprint.Race.scratch;
+}
+
+let runner d =
+  let key = ref None in
+  {
+    d;
+    path = Vec.create ();
+    pool = Vec.create ();
+    mismatch = ref false;
+    key;
+    on_key = (fun k -> key := Some k);
+    race = Footprint.Race.scratch ();
+  }
+
+let take_bufs r =
+  if Vec.is_empty r.pool then
+    let fps = Vec.create () in
+    {
+      degrees = Vec.create ();
+      fps;
+      some_fps = Some fps;
+      offs = Vec.create ();
+      dem = Vec.create ();
+      acted = Vec.create ();
+      inh = Vec.create ();
+      expl = Vec.create ();
+    }
+  else Vec.pop r.pool
+
+let give_bufs r b = Vec.push r.pool b
+
+(* Point [path] at choice [c] of position [i], below a node whose own
+   decision vector is the first [depth] entries: those, zeros up to [i]
+   (the spine), then [c]. *)
+let extend path ~depth i c =
+  Vec.truncate path depth;
+  for _ = depth to i - 1 do
+    Vec.push path 0
+  done;
+  Vec.push path c
+
+(* Run the schedule [r.path] into [b]: branching degrees, and footprints
+   when [por].  Leaves in [r.mismatch] whether any decision fell outside
+   its degree (an unfaithful replay — see Sched.trace) and in [r.key] the
+   state key at position [state_key_at] (the `Source tier's state-cache
+   key), if the run got there. *)
+let run_trace ?(state_key_at = -1) r ~por b =
+  let d = r.d in
+  Vec.clear b.degrees;
+  Vec.clear b.fps;
+  r.mismatch := false;
+  r.key := None;
+  let sched = Sched.trace ~mismatch:r.mismatch ~decisions:r.path ~record:b.degrees () in
   let res =
-    Engine.run ?footprints ~footprint_crashy:d.crashy ~state_key_at ~on_state_key
-      ~record:d.record ~max_steps:d.max_steps ~n:d.n ~model:d.model ~sched ~crash:(d.crash ())
-      ~abort:(d.abort ()) ~setup:d.setup ~body:d.body ()
+    Engine.run
+      ?footprints:(if por then b.some_fps else None)
+      ~footprint_crashy:d.crashy ~state_key_at ~on_state_key:r.on_key ~record:d.record
+      ~max_steps:d.max_steps ~n:d.n ~model:d.model ~sched ~crash:(d.crash ()) ~abort:(d.abort ())
+      ~setup:d.setup ~body:d.body ()
   in
   d.tally res;
-  (res, Vec.to_array record, footprints, !mismatch)
+  res
+
+(* Replay the decision vector [arr.(0 .. len-1)] without footprints. *)
+let replay r arr len =
+  Vec.clear r.path;
+  for i = 0 to len - 1 do
+    Vec.push r.path arr.(i)
+  done;
+  let b = take_bufs r in
+  let res = run_trace r ~por:false b in
+  give_bufs r b;
+  res
 
 (* A shrink candidate counts only if it reproduces the violation *and* its
    decisions all index real branches: a candidate whose degrees shifted
    takes different branches than the trace it would be reported as, so a
-   "minimised" witness built from it would be unfaithful.  Shrinking only
-   replays single vectors, so footprint collection is switched off. *)
-let faithful_reproduces d t =
-  let res, _, _, mismatch = run_trace { d with por = false } t in
-  (not mismatch) && d.check res <> None
+   "minimised" witness built from it would be unfaithful. *)
+let faithful_reproduces r arr len =
+  let res = replay r arr len in
+  (not !(r.mismatch)) && r.d.check res <> None
 
-(* Depth-first exploration of the subtree of decision vectors rooted at
-   [prefix0].  Each run returns the branching degree observed at every
-   decision point; children of a prefix [p] are p with its next positions
-   set to 1 .. degree-1 (0 is the default path, covered by [p] itself).
-   Returns the first violation in DFS preorder, or [None].
+(* Sleep-set helpers, written out so the per-position filters build no
+   closure. *)
+let rec asleep pid = function [] -> false | s :: rest -> Footprint.pid s = pid || asleep pid rest
+
+(* [List.filter (fun s -> Footprint.independent s f) l]. *)
+let rec indep f = function
+  | [] -> []
+  | s :: rest -> if Footprint.independent s f then s :: indep f rest else indep f rest
+
+(* [indep f (l1 @ l2)], without building the concatenation. *)
+let rec indep2 f l1 l2 =
+  match l1 with
+  | [] -> indep f l2
+  | s :: rest -> if Footprint.independent s f then s :: indep2 f rest l2 else indep2 f rest l2
+
+(* Depth-first exploration of the subtree of decision vectors rooted at the
+   runner's current path.  Each run returns the branching degree observed
+   at every decision point; children of a prefix [p] are p with its next
+   positions set to 1 .. degree-1 (0 is the default path, covered by [p]
+   itself).  Returns the first violation in DFS preorder, or [None].
 
    Sleep-set reduction: the search walks the run's decision points as a
    chain of nodes along the choice-0 spine.  [sleep0] holds the footprints
@@ -140,70 +245,69 @@ let faithful_reproduces d t =
    could change it), so the stored footprint stays accurate.
 
    [take_run] reserves budget for one run and returns [false] once the
-   budget is gone; [stop] is an external cancellation signal (the parallel
-   explorer's "an earlier subtree already has the answer").  Both unwind
+   budget is gone; [stop] is an external cancellation signal.  Both unwind
    the whole subtree immediately — no sibling is visited once the search
    cannot contribute to the result. *)
-let subtree d ~take_run ~stop (prefix0, sleep0) =
+let subtree r ~take_run ~stop sleep0 =
   let exception Halt in
   let exception Found of string * int list in
-  let rec go prefix sleep0 =
+  let d = r.d and path = r.path in
+  let rec go sleep0 =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
-    let res, branches, fps, _ = run_trace d prefix in
-    (match d.check res with Some msg -> raise (Found (msg, prefix)) | None -> ());
+    let b = take_bufs r in
+    let res = run_trace r ~por:d.por b in
+    (match d.check res with Some msg -> raise (Found (msg, Vec.to_list path)) | None -> ());
     (* The coverage argument permutes complete runs; a timed-out run was
        cut mid-schedule, so for this node fall back to the unpruned
        expansion (children restart with empty sleep sets and judge their
        own runs). *)
-    let fps = if res.Engine.timed_out then None else fps in
-    let depth = List.length prefix in
+    let reduce = d.por && not res.Engine.timed_out in
+    let branches = b.degrees in
+    let depth = Vec.length path in
     (* Offset of position [depth]'s choices in the flat footprint buffer. *)
     let off = ref 0 in
-    (match fps with
-    | None -> ()
-    | Some _ ->
-        for i = 0 to depth - 1 do
-          off := !off + branches.(i)
-        done);
-    (* Sibling prefixes at position [i] share the padded spine
-       [prefix @ 0^(i-depth)], kept reversed and extended in place instead
-       of being rebuilt per child ([prefix @ pad @ [c]] was quadratic in
-       depth). *)
-    let rev_spine = ref (List.rev prefix) in
-    let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
-    for i = depth to Array.length branches - 1 do
-      let degree = branches.(i) in
-      (match fps with
-      | None ->
+    if reduce then
+      for i = 0 to depth - 1 do
+        off := !off + Vec.get branches i
+      done;
+    (* Invariant at position [i]: [path] is this node's prefix padded with
+       the spine's zeros up to [i]. *)
+    let sleep = ref (if reduce then sleep0 else []) in
+    for i = depth to Vec.length branches - 1 do
+      let degree = Vec.get branches i in
+      if not reduce then
+        for c = 1 to degree - 1 do
+          Vec.push path c;
+          go [];
+          Vec.truncate path i
+        done
+      else begin
+        let fp0 = Vec.get b.fps !off in
+        if degree > 1 then begin
+          (* Sleep candidates for each next sibling and for the spine:
+             inherited sleepers plus the siblings explored before it. *)
+          let explored = ref !sleep in
           for c = 1 to degree - 1 do
-            go (List.rev_append !rev_spine [ c ]) []
-          done
-      | Some fv ->
-          let fp_at c = Vec.get fv (!off + c) in
-          if degree > 1 then begin
-            (* Sleep candidates for each next sibling and for the spine:
-               inherited sleepers plus the siblings explored before it. *)
-            let explored = ref !sleep in
-            for c = 1 to degree - 1 do
-              let fpc = fp_at c in
-              let pidc = Footprint.pid fpc in
-              if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
-              else begin
-                go
-                  (List.rev_append !rev_spine [ c ])
-                  (List.filter (fun s -> Footprint.independent s fpc) !explored);
-                explored := fpc :: !explored
-              end
-            done;
-            sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
-          end
-          else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
-          off := !off + degree);
-      rev_spine := 0 :: !rev_spine
-    done
+            let fpc = Vec.get b.fps (!off + c) in
+            if not (asleep (Footprint.pid fpc) !sleep) then begin
+              Vec.push path c;
+              go (indep fpc !explored);
+              Vec.truncate path i;
+              explored := fpc :: !explored
+            end
+          done;
+          sleep := indep fp0 !explored
+        end
+        else sleep := indep fp0 !sleep;
+        off := !off + degree
+      end;
+      Vec.push path 0
+    done;
+    Vec.truncate path depth;
+    give_bufs r b
   in
-  match go prefix0 sleep0 with
+  match go sleep0 with
   | () -> None
   | exception Halt -> None
   | exception Found (msg, tr) -> Some (msg, tr)
@@ -261,56 +365,52 @@ module Src = struct
       Vec.push ctx.slots 0
     done
 
+  (* Demand choice [choice] at [pos]; [-1] (no such choice) demands all. *)
   let demand ctx ~pos ~deg ~choice =
     let cur = Vec.get ctx.slots pos in
     if cur <> all_mask then
       Vec.set ctx.slots pos
-        (match choice with
-        | Some c when deg <= 62 -> cur lor (1 lsl c)
-        | Some _ | None -> all_mask)
+        (if choice >= 0 && deg <= 62 then cur lor (1 lsl choice) else all_mask)
 
-  (* Scan a completed run for reversible races and deposit the resulting
-     demands.  [decisions] is the explicit prefix (0 past its end), [offs]
-     the per-position offsets into the flat footprint buffer [fp]. *)
-  let scan ctx ~n ~decisions ~branches ~offs ~fp =
-    let len = Array.length branches in
+  (* Scan a completed run of [len] decision positions for reversible races
+     and deposit the resulting demands.  [choice j] is the decision the
+     run took at position [j], [degree j] its branching degree and
+     [fp_at j c] the footprint of choice [c] there. *)
+  let scan ctx race ~n ~len ~choice ~degree ~fp_at =
     ensure ctx len;
-    let ndec = Array.length decisions in
-    let choice j = if j < ndec then decisions.(j) else 0 in
-    let executed j = fp (offs.(j) + choice j) in
-    Footprint.Race.scan ~n ~len ~executed
-      ~degree:(fun j -> branches.(j))
+    Footprint.Race.scan_with race ~n ~len
+      ~executed:(fun j -> fp_at j (choice j))
+      ~degree
       ~emit:(fun ~pos ~pid ->
         if pos >= ctx.root then begin
-          let deg = branches.(pos) in
-          let c = ref None in
+          let deg = degree pos in
+          let c = ref (-1) in
           for i = deg - 1 downto 0 do
-            if Footprint.pid (fp (offs.(pos) + i)) = pid then c := Some i
+            if Footprint.pid (fp_at pos i) = pid then c := i
           done;
           demand ctx ~pos ~deg ~choice:!c
         end)
+
+  let rec conflicts fk = function
+    | [] -> false
+    | f :: rest ->
+        (Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
+        || conflicts fk rest
 
   (* Conservative demands a pruned (cache-hit) subtree owes the current
      prefix.  The stored exploration raised its cross-prefix race demands
      against *its* path, not ours, so re-raise them here from the summary:
      demand every sibling at every branching prefix position whose
      executed step conflicts with any footprint the subtree ran. *)
-  let demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth (s : summary) =
+  let demand_prefix ctx ~choice ~degree ~fp_at ~depth (s : summary) =
     ensure ctx depth;
     for k = ctx.root to depth - 1 do
-      let deg = branches.(k) in
+      let deg = degree k in
       if deg > 1 then begin
-        let fk = fp (offs.(k) + decisions.(k)) in
         let conflict =
-          match s with
-          | None -> true
-          | Some l ->
-              List.exists
-                (fun f ->
-                  Footprint.pid f <> Footprint.pid fk && not (Footprint.independent f fk))
-                l
+          match s with None -> true | Some l -> conflicts (fp_at k (choice k)) l
         in
-        if conflict then demand ctx ~pos:k ~deg ~choice:None
+        if conflict then demand ctx ~pos:k ~deg ~choice:(-1)
       end
     done
 
@@ -336,151 +436,150 @@ end
    when violations exist the reported witness may differ from [subtree]'s
    preorder-first one (the shrunk witness is compared in the differential
    battery instead); exhaustion and violation-existence always agree. *)
-let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
+let subtree_source r ~ctx ~take_run ~stop inh0 =
   let exception Halt in
   let exception Found of string * int list in
+  let d = r.d and path = r.path in
   let caching = ctx.Src.cache <> None in
-  let rec go prefix inh0 (note : Src.acc) =
+  let rec go inh0 (note : Src.acc) =
     if stop () then raise Halt;
     if not (take_run ()) then raise Halt;
-    let depth = List.length prefix in
-    let key = ref None in
-    let res, branches, fps, _ =
-      run_trace d prefix
-        ~state_key_at:(if caching then depth else -1)
-        ~on_state_key:(fun k -> key := Some k)
-    in
-    (match d.check res with Some msg -> raise (Found (msg, prefix)) | None -> ());
-    let len = Array.length branches in
-    if res.Engine.timed_out then begin
-      (* The run was cut mid-schedule: the permutation argument needs
-         complete runs, so expand this node unpruned (children still
-         reduce internally) and poison the cache adds of the whole path —
-         the subtree's footprints are unknown, so no ancestor summary can
-         be trusted. *)
-      let rev_spine = ref (List.rev prefix) in
-      for i = depth to len - 1 do
-        for c = 1 to branches.(i) - 1 do
-          ignore (go (List.rev_append !rev_spine [ c ]) [] note)
+    let depth = Vec.length path in
+    let b = take_bufs r in
+    let res = run_trace r ~por:d.por b ~state_key_at:(if caching then depth else -1) in
+    let key = !(r.key) in
+    (match d.check res with Some msg -> raise (Found (msg, Vec.to_list path)) | None -> ());
+    let branches = b.degrees in
+    let len = Vec.length branches in
+    let summarizable =
+      if res.Engine.timed_out then begin
+        (* The run was cut mid-schedule: the permutation argument needs
+           complete runs, so expand this node unpruned (children still
+           reduce internally) and poison the cache adds of the whole path —
+           the subtree's footprints are unknown, so no ancestor summary can
+           be trusted. *)
+        for i = depth to len - 1 do
+          for c = 1 to Vec.get branches i - 1 do
+            Vec.push path c;
+            ignore (go [] note);
+            Vec.truncate path i
+          done;
+          Vec.push path 0
         done;
-        rev_spine := 0 :: !rev_spine
-      done;
-      (* Demands children deposited at our positions are subsumed by the
-         unpruned expansion; clear them so they cannot leak upward. *)
-      for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
-        Vec.set ctx.Src.slots i 0
-      done;
-      Src.note_summary note None;
-      false
-    end
-    else begin
-      let fps = match fps with Some v -> v | None -> assert false in
-      let fp i = Vec.get fps i in
-      let offs = Array.make (len + 1) 0 in
-      for i = 0 to len - 1 do
-        offs.(i + 1) <- offs.(i) + branches.(i)
-      done;
-      let decisions = Array.of_list prefix in
-      let slept = Src.mask_of_sleep inh0 in
-      let hit =
-        match (ctx.Src.cache, !key) with
-        | Some c, Some k -> Statecache.find c ~key:k ~slept
-        | _ -> None
-      in
-      match hit with
-      | Some summary ->
-          Src.demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth summary;
-          Src.note_summary note summary;
-          true
-      | None ->
-          Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
-          let acc = Src.fresh_acc () in
-          for j = depth to len - 1 do
-            Src.note acc (fp offs.(j))
-          done;
-          let m = len - depth in
-          let dem = Array.make (max m 1) 0 in
-          (* Drain demands addressed to this frame's positions out of the
-             shared slots, eagerly: after the own scan and after every child
-             returns.  A child's position range overlaps ours (absolute
-             positions alias across paths), so a demand of ours left in the
-             slots while a child runs would be consumed — and cleared — by
-             the child against the wrong node. *)
-          let drain () =
-            for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
-              let v = Vec.get ctx.Src.slots i in
-              if v <> 0 then begin
-                dem.(i - depth) <- dem.(i - depth) lor v;
-                Vec.set ctx.Src.slots i 0
-              end
-            done
-          in
-          drain ();
-          let inh = Array.make (max m 1) [] in
-          let expl = Array.make (max m 1) [] in
-          let acted = Array.make (max m 1) 1 (* bit 0: the spine, covered by this run *) in
-          let rev_spine = Array.make (max m 1) [] in
-          if m > 0 then begin
-            inh.(0) <- inh0;
-            rev_spine.(0) <- List.rev prefix;
-            for ix = 1 to m - 1 do
-              rev_spine.(ix) <- 0 :: rev_spine.(ix - 1)
-            done
-          end;
-          let summarizable = ref true in
-          let first_sweep = ref true in
-          let progress = ref true in
-          while !progress do
-            progress := false;
-            for i = depth to len - 1 do
-              let ix = i - depth in
-              let deg = branches.(i) in
-              if deg > 1 then begin
-                let full = if deg >= 62 then Src.all_mask else (1 lsl deg) - 1 in
-                let pending = dem.(ix) land full land lnot acted.(ix) in
-                if pending <> 0 then
-                  for c = 1 to deg - 1 do
-                    if pending land (1 lsl c) <> 0 then begin
-                      acted.(ix) <- acted.(ix) lor (1 lsl c);
-                      let fpc = fp (offs.(i) + c) in
-                      let pidc = Footprint.pid fpc in
-                      if List.exists (fun s -> Footprint.pid s = pidc) inh.(ix) then ()
-                      else begin
-                        progress := true;
-                        let child_sleep =
-                          List.filter
-                            (fun s -> Footprint.independent s fpc)
-                            (inh.(ix) @ expl.(ix))
-                        in
-                        let ok = go (List.rev_append rev_spine.(ix) [ c ]) child_sleep acc in
-                        drain ();
-                        summarizable := !summarizable && ok;
-                        expl.(ix) <- fpc :: expl.(ix)
-                      end
-                    end
-                  done
-              end;
-              (* The spine's inherited sleep evolves exactly as [subtree]'s:
-                 past position [i], the first-sweep explored siblings (and
-                 the inherited sleepers) survive iff independent of the
-                 step the spine actually took. *)
-              if !first_sweep && ix + 1 < m then
-                inh.(ix + 1) <-
-                  List.filter
-                    (fun s -> Footprint.independent s (fp offs.(i)))
-                    (inh.(ix) @ expl.(ix))
+        (* Demands children deposited at our positions are subsumed by the
+           unpruned expansion; clear them so they cannot leak upward. *)
+        for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
+          Vec.set ctx.Src.slots i 0
+        done;
+        Src.note_summary note None;
+        false
+      end
+      else begin
+        let offs = b.offs in
+        Vec.clear offs;
+        Vec.push offs 0;
+        for i = 0 to len - 1 do
+          Vec.push offs (Vec.get offs i + Vec.get branches i)
+        done;
+        let fp_at j c = Vec.get b.fps (Vec.get offs j + c) in
+        let choice j = if j < depth then Vec.get path j else 0 in
+        let degree j = Vec.get branches j in
+        let slept = Src.mask_of_sleep inh0 in
+        let hit =
+          match (ctx.Src.cache, key) with
+          | Some c, Some k -> Statecache.find c ~key:k ~slept
+          | _ -> None
+        in
+        match hit with
+        | Some summary ->
+            Src.demand_prefix ctx ~choice ~degree ~fp_at ~depth summary;
+            Src.note_summary note summary;
+            true
+        | None ->
+            Src.scan ctx r.race ~n:d.n ~len ~choice ~degree ~fp_at;
+            let acc = Src.fresh_acc () in
+            for j = depth to len - 1 do
+              Src.note acc (fp_at j 0)
             done;
-            first_sweep := false
-          done;
-          (if !summarizable && caching then
-             match (ctx.Src.cache, !key) with
-             | Some c, Some k -> Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
-             | _ -> ());
-          Src.note_summary note (Src.to_summary acc);
-          !summarizable
-    end
+            let m = len - depth in
+            let dem = b.dem and acted = b.acted and inh = b.inh and expl = b.expl in
+            Vec.clear dem;
+            Vec.clear acted;
+            Vec.clear inh;
+            Vec.clear expl;
+            for _ = 1 to m do
+              Vec.push dem 0;
+              Vec.push acted 1 (* bit 0: the spine, covered by this run *);
+              Vec.push inh [];
+              Vec.push expl []
+            done;
+            (* Drain demands addressed to this frame's positions out of the
+               shared slots, eagerly: after the own scan and after every
+               child returns.  A child's position range overlaps ours
+               (absolute positions alias across paths), so a demand of ours
+               left in the slots while a child runs would be consumed — and
+               cleared — by the child against the wrong node. *)
+            let drain () =
+              for i = depth to min len (Vec.length ctx.Src.slots) - 1 do
+                let v = Vec.get ctx.Src.slots i in
+                if v <> 0 then begin
+                  Vec.set dem (i - depth) (Vec.get dem (i - depth) lor v);
+                  Vec.set ctx.Src.slots i 0
+                end
+              done
+            in
+            drain ();
+            if m > 0 then Vec.set inh 0 inh0;
+            let summarizable = ref true in
+            let first_sweep = ref true in
+            let progress = ref true in
+            while !progress do
+              progress := false;
+              for i = depth to len - 1 do
+                let ix = i - depth in
+                let deg = Vec.get branches i in
+                if deg > 1 then begin
+                  let full = if deg >= 62 then Src.all_mask else (1 lsl deg) - 1 in
+                  let pending = Vec.get dem ix land full land lnot (Vec.get acted ix) in
+                  if pending <> 0 then
+                    for c = 1 to deg - 1 do
+                      if pending land (1 lsl c) <> 0 then begin
+                        Vec.set acted ix (Vec.get acted ix lor (1 lsl c));
+                        let fpc = fp_at i c in
+                        if not (asleep (Footprint.pid fpc) (Vec.get inh ix)) then begin
+                          progress := true;
+                          let child_sleep = indep2 fpc (Vec.get inh ix) (Vec.get expl ix) in
+                          extend path ~depth i c;
+                          let ok = go child_sleep acc in
+                          drain ();
+                          summarizable := !summarizable && ok;
+                          Vec.set expl ix (fpc :: Vec.get expl ix)
+                        end
+                      end
+                    done
+                end;
+                (* The spine's inherited sleep evolves exactly as
+                   [subtree]'s: past position [i], the first-sweep explored
+                   siblings (and the inherited sleepers) survive iff
+                   independent of the step the spine actually took. *)
+                if !first_sweep && ix + 1 < m then
+                  Vec.set inh (ix + 1) (indep2 (fp_at i 0) (Vec.get inh ix) (Vec.get expl ix))
+              done;
+              first_sweep := false
+            done;
+            (if !summarizable && caching then
+               match (ctx.Src.cache, key) with
+               | Some c, Some k -> Statecache.add c ~key:k ~slept ~summary:(Src.to_summary acc)
+               | _ -> ());
+            Src.note_summary note (Src.to_summary acc);
+            !summarizable
+      end
+    in
+    Vec.truncate path depth;
+    give_bufs r b;
+    summarizable
   in
-  match go prefix0 inh0 (Src.fresh_acc ()) with
+  match go inh0 (Src.fresh_acc ()) with
   | _ -> None
   | exception Halt -> None
   | exception Found (msg, tr) -> Some (msg, tr)
@@ -488,11 +587,11 @@ let subtree_source d ~ctx ~take_run ~stop (prefix0, inh0) =
 (* [exhausted] means the search covered the whole tree (up to runs the
    sleep-set reduction proved equivalent to explored ones): no truncation
    and no violation (a violation stops the search early by design). *)
-let finish d ~shrink_violations ~runs ~truncated violation =
+let finish r ~shrink_violations ~runs ~truncated violation =
   let violation =
     match violation with
     | Some (msg, trace) when shrink_violations ->
-        Some (msg, shrink ~reproduces:(faithful_reproduces d) trace)
+        Some (msg, shrink_array ~reproduces:(faithful_reproduces r) trace)
     | v -> v
   in
   { runs; exhausted = (violation = None) && not truncated; violation }
@@ -536,6 +635,7 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
       tally;
     }
   in
+  let r = runner d in
   (* Hoisted so the [stats] callback can read the counters after the
      search, whichever branch ran. *)
   let cache =
@@ -559,8 +659,8 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
   let outcome =
     match tier with
     | `Off ->
-        let violation = subtree d ~take_run ~stop ([], []) in
-        finish d ~shrink_violations ~runs:!runs ~truncated:!truncated violation
+        let violation = subtree r ~take_run ~stop [] in
+        finish r ~shrink_violations ~runs:!runs ~truncated:!truncated violation
     | (`Sleep | `Source) as tier ->
       (* Root probe: the very first run — the default schedule — executes
          footprint-free.  When it already violates, the whole search is
@@ -569,12 +669,12 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
          with footprints inside the reduced search, without consuming
          budget a second time, so run counts match the un-probed search
          exactly. *)
-      if not (take_run ()) then finish d ~shrink_violations ~runs:!runs ~truncated:!truncated None
+      if not (take_run ()) then finish r ~shrink_violations ~runs:!runs ~truncated:!truncated None
       else begin
-        let res, _, _, _ = run_trace { d with por = false } [] in
+        let res = replay r [||] 0 in
         match d.check res with
         | Some msg ->
-            finish d ~shrink_violations ~runs:!runs ~truncated:!truncated (Some (msg, []))
+            finish r ~shrink_violations ~runs:!runs ~truncated:!truncated (Some (msg, []))
         | None ->
             let first = ref true in
             let take_run' () =
@@ -586,12 +686,12 @@ let explore ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violations = tr
             in
             let violation =
               match tier with
-              | `Sleep -> subtree d ~take_run:take_run' ~stop ([], [])
+              | `Sleep -> subtree r ~take_run:take_run' ~stop []
               | `Source ->
                   let ctx = { Src.slots = Vec.create (); root = 0; cache } in
-                  subtree_source d ~ctx ~take_run:take_run' ~stop ([], [])
+                  subtree_source r ~ctx ~take_run:take_run' ~stop []
             in
-            finish d ~shrink_violations ~runs:!runs ~truncated:!truncated violation
+            finish r ~shrink_violations ~runs:!runs ~truncated:!truncated violation
       end
   in
   (match stats with
@@ -726,6 +826,7 @@ let subtree_ckpt d ~snap_gap ~take_run ~stop (prefix0, sleep0) =
 let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
   let exception Halt in
   let exception Found of string * int list in
+  let race = Footprint.Race.scratch () in
   let caching = ctx.Src.cache <> None in
   let rec go (base : Engine.Snap.t option) (decisions : int array) inh0 (note : Src.acc) =
     if stop () then raise Halt;
@@ -779,11 +880,13 @@ let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
     end
     else begin
       let fpv = rr.Engine.rr_footprints in
-      let fp i = fpv.(i) in
       let offs = Array.make (len + 1) 0 in
       for i = 0 to len - 1 do
         offs.(i + 1) <- offs.(i) + branches.(i)
       done;
+      let fp_at j c = fpv.(offs.(j) + c) in
+      let choice j = if j < depth then decisions.(j) else 0 in
+      let degree j = branches.(j) in
       let slept = Src.mask_of_sleep inh0 in
       let hit =
         match (ctx.Src.cache, !key) with
@@ -792,14 +895,14 @@ let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
       in
       match hit with
       | Some summary ->
-          Src.demand_prefix ctx ~decisions ~branches ~offs ~fp ~depth summary;
+          Src.demand_prefix ctx ~choice ~degree ~fp_at ~depth summary;
           Src.note_summary note summary;
           true
       | None ->
-          Src.scan ctx ~n:d.n ~decisions ~branches ~offs ~fp;
+          Src.scan ctx race ~n:d.n ~len ~choice ~degree ~fp_at;
           let acc = Src.fresh_acc () in
           for j = depth to len - 1 do
-            Src.note acc (fp offs.(j))
+            Src.note acc (fp_at j 0)
           done;
           let dem = Array.make (max m 1) 0 in
           let drain () =
@@ -831,7 +934,7 @@ let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
                   for c = 1 to deg - 1 do
                     if pending land (1 lsl c) <> 0 then begin
                       acted.(ix) <- acted.(ix) lor (1 lsl c);
-                      let fpc = fp (offs.(i) + c) in
+                      let fpc = fp_at i c in
                       let pidc = Footprint.pid fpc in
                       if List.exists (fun s -> Footprint.pid s = pidc) inh.(ix) then ()
                       else begin
@@ -852,7 +955,7 @@ let subtree_ckpt_source d ~snap_gap ~ctx ~take_run ~stop (prefix0, inh0) =
               if !first_sweep && ix + 1 < m then
                 inh.(ix + 1) <-
                   List.filter
-                    (fun s -> Footprint.independent s (fp offs.(i)))
+                    (fun s -> Footprint.independent s (fp_at i 0))
                     (inh.(ix) @ expl.(ix))
             done;
             first_sweep := false
@@ -912,6 +1015,8 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
       tally;
     }
   in
+  (* Phases 0 and 1 and the final shrink run on this domain. *)
+  let r = runner d in
   let ndomains =
     match domains with Some x when x >= 1 -> x | Some _ -> 1 | None -> Pool.default_domains ()
   in
@@ -925,7 +1030,7 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
   let probe_viol =
     if tier = `Off || max_runs < 1 then None
     else
-      let res, _, _, _ = run_trace { d with por = false } [] in
+      let res = replay r [||] 0 in
       match d.check res with Some msg -> Some (msg, []) | None -> None
   in
   (* ---- Phase 1: adaptive frontier expansion (sequential). ----
@@ -937,53 +1042,61 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
      [split_depth] forces a minimum number of levels (compatibility with
      callers tuned against the fixed-depth splitter). *)
   let expand_one (prefix, sleep0) =
-    let res, branches, fps, _ = run_trace d prefix in
-    match d.check res with
-    | Some msg -> `Viol (msg, prefix)
-    | None ->
-        let fps = if res.Engine.timed_out then None else fps in
-        let depth = List.length prefix in
-        let off = ref 0 in
-        (match fps with
-        | None -> ()
-        | Some _ ->
-            for i = 0 to depth - 1 do
-              off := !off + branches.(i)
-            done);
-        let rev_spine = ref (List.rev prefix) in
-        let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
-        let children = ref [] in
-        for i = depth to Array.length branches - 1 do
-          let degree = branches.(i) in
+    Vec.clear r.path;
+    List.iter (Vec.push r.path) prefix;
+    let b = take_bufs r in
+    let res = run_trace r ~por:d.por b in
+    let branches = b.degrees in
+    let expansion =
+      match d.check res with
+      | Some msg -> `Viol (msg, prefix)
+      | None ->
+          let fps = if d.por && not res.Engine.timed_out then Some b.fps else None in
+          let depth = List.length prefix in
+          let off = ref 0 in
           (match fps with
-          | None ->
-              for c = 1 to degree - 1 do
-                children := Task (List.rev_append !rev_spine [ c ], []) :: !children
-              done
-          | Some fv ->
-              let fp_at c = Vec.get fv (!off + c) in
-              if degree > 1 then begin
-                let explored = ref !sleep in
+          | None -> ()
+          | Some _ ->
+              for i = 0 to depth - 1 do
+                off := !off + Vec.get branches i
+              done);
+          let rev_spine = ref (List.rev prefix) in
+          let sleep = ref (match fps with None -> [] | Some _ -> sleep0) in
+          let children = ref [] in
+          for i = depth to Vec.length branches - 1 do
+            let degree = Vec.get branches i in
+            (match fps with
+            | None ->
                 for c = 1 to degree - 1 do
-                  let fpc = fp_at c in
-                  let pidc = Footprint.pid fpc in
-                  if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
-                  else begin
-                    children :=
-                      Task
-                        ( List.rev_append !rev_spine [ c ],
-                          List.filter (fun s -> Footprint.independent s fpc) !explored )
-                      :: !children;
-                    explored := fpc :: !explored
-                  end
-                done;
-                sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
-              end
-              else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
-              off := !off + degree);
-          rev_spine := 0 :: !rev_spine
-        done;
-        `Children (List.rev !children)
+                  children := Task (List.rev_append !rev_spine [ c ], []) :: !children
+                done
+            | Some fv ->
+                let fp_at c = Vec.get fv (!off + c) in
+                if degree > 1 then begin
+                  let explored = ref !sleep in
+                  for c = 1 to degree - 1 do
+                    let fpc = fp_at c in
+                    let pidc = Footprint.pid fpc in
+                    if List.exists (fun s -> Footprint.pid s = pidc) !sleep then ()
+                    else begin
+                      children :=
+                        Task
+                          ( List.rev_append !rev_spine [ c ],
+                            List.filter (fun s -> Footprint.independent s fpc) !explored )
+                        :: !children;
+                      explored := fpc :: !explored
+                    end
+                  done;
+                  sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !explored
+                end
+                else sleep := List.filter (fun s -> Footprint.independent s (fp_at 0)) !sleep;
+                off := !off + degree);
+            rev_spine := 0 :: !rev_spine
+          done;
+          `Children (List.rev !children)
+    in
+    give_bufs r b;
+    expansion
   in
   let target_tasks = max 16 (8 * ndomains) in
   let count_tasks items =
@@ -1128,7 +1241,7 @@ let explore_parallel ?(max_runs = 100_000) ?(max_steps = 20_000) ?(shrink_violat
   let outcome =
     match outcome.violation with
     | Some (msg, tr) when shrink_violations ->
-        { outcome with violation = Some (msg, shrink ~reproduces:(faithful_reproduces d) tr) }
+        { outcome with violation = Some (msg, shrink_array ~reproduces:(faithful_reproduces r) tr) }
     | Some _ | None -> outcome
   in
   (match stats with

@@ -44,4 +44,4 @@ let verify (res : Engine.result) ~mem_dump =
       mem_dump;
   { ops_replayed = !ops; cells_checked = !checked; divergence = !divergence }
 
-let dump mem ~cells = List.map (fun (c : Cell.t) -> (c.Cell.name, Memory.peek mem c)) cells
+let dump mem ~cells = List.map (fun (c : Cell.t) -> (Cell.name c, Memory.peek mem c)) cells

@@ -231,7 +231,7 @@ let discover cfg ~n ~model scenario =
               pid = info.pid;
               op_index = info.op_index;
               kind = info.kind;
-              cell = info.cell;
+              cell = Crash.cell_name info;
               step = info.step;
             }
           in

@@ -21,14 +21,15 @@ type t = {
 
 let make_spin_pool ?(name = "arb") ctx =
   let mem = Engine.Ctx.memory ctx in
-  Array.init (Engine.Ctx.n ctx) (fun p ->
-      Memory.alloc mem ~home:p ~name:(Printf.sprintf "%s.spin[%d]" name p) 0)
+  let stem = name ^ ".spin[" in
+  Array.init (Engine.Ctx.n ctx) (fun p -> Memory.alloc_nth mem ~home:p ~stem ~index:p ~suffix:"]" 0)
 
 let create ?(name = "arb") ?spin_pool ctx =
   let mem = Engine.Ctx.memory ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let per_side field init =
-    Array.init 2 (fun s -> Memory.alloc mem ~name:(Printf.sprintf "%s.%s[%d]" name field s) init)
+    let stem = name ^ "." ^ field ^ "[" in
+    Array.init 2 (fun s -> Memory.alloc_nth mem ~home:Cell.global ~stem ~index:s ~suffix:"]" init)
   in
   {
     id;

@@ -15,7 +15,10 @@ let make ctx =
   let id = Engine.Ctx.register_lock ctx "clh" in
   let cells = Vec.create () in
   let fresh_cell init =
-    let c = Memory.alloc mem ~name:(Printf.sprintf "clh.n%d" (Vec.length cells)) init in
+    let c =
+      Memory.alloc_nth mem ~home:Cell.global ~stem:"clh.n" ~index:(Vec.length cells) ~suffix:""
+        init
+    in
     Vec.push cells c;
     c
   in

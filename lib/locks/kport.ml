@@ -25,7 +25,8 @@ let create ?(name = "kport") ~k ctx =
   let mem = Engine.Ctx.memory ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let per_port field init =
-    Array.init k (fun q -> Memory.alloc mem ~name:(Printf.sprintf "%s.%s[%d]" name field q) init)
+    let stem = name ^ "." ^ field ^ "[" in
+    Array.init k (fun q -> Memory.alloc_nth mem ~home:Cell.global ~stem ~index:q ~suffix:"]" init)
   in
   {
     id;

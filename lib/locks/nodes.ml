@@ -4,18 +4,19 @@ type node = { id : int; next : Cell.t; locked : Cell.t; owner : int }
 
 let null = 0
 
-type registry = { mem : Memory.t; prefix : string; nodes : node Vec.t }
+(* Node cells are named [<prefix>.n<id>.next] / [.locked]; the stem is
+   built once per registry and each name rendered only if read. *)
+type registry = { mem : Memory.t; stem : string; nodes : node Vec.t }
 
-let create_registry mem ~prefix = { mem; prefix; nodes = Vec.create () }
+let create_registry mem ~prefix = { mem; stem = prefix ^ ".n"; nodes = Vec.create () }
 
 let fresh reg ~owner =
   let id = Vec.length reg.nodes + 1 in
-  let name field = Printf.sprintf "%s.n%d.%s" reg.prefix id field in
   let node =
     {
       id;
-      next = Memory.alloc reg.mem ~home:owner ~name:(name "next") null;
-      locked = Memory.alloc reg.mem ~home:owner ~name:(name "locked") 0;
+      next = Memory.alloc_nth reg.mem ~home:owner ~stem:reg.stem ~index:id ~suffix:".next" null;
+      locked = Memory.alloc_nth reg.mem ~home:owner ~stem:reg.stem ~index:id ~suffix:".locked" 0;
       owner;
     }
   in

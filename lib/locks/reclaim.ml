@@ -47,13 +47,13 @@ let create ?(name = "reclaim") ?(notify = false) ctx =
   let mem = Engine.Ctx.memory ctx in
   let n = Engine.Ctx.n ctx in
   let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
+    let stem = name ^ "." ^ field ^ "[" in
+    Array.init n (fun i -> Memory.alloc_nth mem ~home:i ~stem ~index:i ~suffix:"]" init)
   in
   let matrix field init =
     Array.init n (fun i ->
-        Array.init n (fun j ->
-            Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d][%d]" name field i j) init))
+        let stem = name ^ "." ^ field ^ "[" ^ string_of_int i ^ "][" in
+        Array.init n (fun j -> Memory.alloc_nth mem ~home:i ~stem ~index:j ~suffix:"]" init))
   in
   {
     name;

@@ -27,8 +27,8 @@ let create ?(name = "rw") ?writer_lock ctx =
     | None -> Ba_lock.lock (Ba_lock.create ~name:(name ^ ".w") ~base:Jjj_tree.make ctx)
   in
   let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
+    let stem = name ^ "." ^ field ^ "[" in
+    Array.init n (fun i -> Memory.alloc_nth mem ~home:i ~stem ~index:i ~suffix:"]" init)
   in
   {
     name;

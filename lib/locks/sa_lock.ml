@@ -29,7 +29,8 @@ let create ?(name = "sa") ?level ?core ctx =
     flock = Wr_lock.lock filter;
     owner = Memory.alloc mem ~name:(name ^ ".owner") 0;
     typ =
-      Array.init n (fun i -> Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.type[%d]" name i) fast);
+      (let stem = name ^ ".type[" in
+       Array.init n (fun i -> Memory.alloc_nth mem ~home:i ~stem ~index:i ~suffix:"]" fast));
     core;
     arb = Arbitrator.create ~name:(name ^ ".arb") ctx;
   }

@@ -51,8 +51,8 @@ let create ?(name = "tas-abort") ?(naive = false) ctx =
   let n = Engine.Ctx.n ctx in
   let id = Engine.Ctx.register_lock ctx name in
   let arr field init =
-    Array.init n (fun i ->
-        Memory.alloc mem ~home:i ~name:(Printf.sprintf "%s.%s[%d]" name field i) init)
+    let stem = name ^ "." ^ field ^ "[" in
+    Array.init n (fun i -> Memory.alloc_nth mem ~home:i ~stem ~index:i ~suffix:"]" init)
   in
   {
     id;

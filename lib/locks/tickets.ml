@@ -27,8 +27,8 @@ let create ?(name = "tickets") ctx =
     grant = Memory.alloc mem ~name:(name ^ ".grant") base;
     dirty = Memory.alloc mem ~name:(name ^ ".dirty") 0;
     ann =
-      Array.init n (fun p ->
-          Memory.alloc mem ~home:p ~name:(Printf.sprintf "%s.ann[%d]" name p) idle);
+      (let stem = name ^ ".ann[" in
+       Array.init n (fun p -> Memory.alloc_nth mem ~home:p ~stem ~index:p ~suffix:"]" idle));
   }
 
 (* Skip the ticket currently served iff its owner provably died in the

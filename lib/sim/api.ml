@@ -53,32 +53,19 @@ let kind_of_view : type a. a view -> kind = function
   | V_poll_abort -> Nop
   | V_yield -> Nop
 
+(* Each cell carries its own [Some c], so the per-instruction crash consult
+   reads the touched cell without boxing an option. *)
 let cell_of_view : type a. a view -> Cell.t option = function
-  | V_read c -> Some c
-  | V_write (c, _) -> Some c
-  | V_cas (c, _, _) -> Some c
-  | V_fas (c, _) -> Some c
-  | V_fas_open_unsafe (_, c, _) -> Some c
-  | V_fas_persist (c, _, _) -> Some c
-  | V_write_close_unsafe (_, c, _) -> Some c
-  | V_faa (c, _) -> Some c
-  | V_spin (c, _) -> Some c
-  | V_spin_abortable (c, _) -> Some c
-  | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
-
-(* Direct match instead of [cell_of_view]: the shared [some_name] keeps the
-   per-instruction crash consult free of option boxes. *)
-let cell_name : type a. a view -> string option = function
-  | V_read c -> c.some_name
-  | V_write (c, _) -> c.some_name
-  | V_cas (c, _, _) -> c.some_name
-  | V_fas (c, _) -> c.some_name
-  | V_fas_open_unsafe (_, c, _) -> c.some_name
-  | V_fas_persist (c, _, _) -> c.some_name
-  | V_write_close_unsafe (_, c, _) -> c.some_name
-  | V_faa (c, _) -> c.some_name
-  | V_spin (c, _) -> c.some_name
-  | V_spin_abortable (c, _) -> c.some_name
+  | V_read c -> c.some
+  | V_write (c, _) -> c.some
+  | V_cas (c, _, _) -> c.some
+  | V_fas (c, _) -> c.some
+  | V_fas_open_unsafe (_, c, _) -> c.some
+  | V_fas_persist (c, _, _) -> c.some
+  | V_write_close_unsafe (_, c, _) -> c.some
+  | V_faa (c, _) -> c.some
+  | V_spin (c, _) -> c.some
+  | V_spin_abortable (c, _) -> c.some
   | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t

@@ -58,10 +58,9 @@ exception Abort_signal
 val kind_of_view : 'a view -> kind
 
 val cell_of_view : 'a view -> Cell.t option
-
-val cell_name : 'a view -> string option
-(** The name of the cell the instruction touches: the cell's shared
-    [some_name], so no option is allocated. *)
+(** The cell the instruction touches (its primary cell for
+    [V_fas_persist]).  Returns the cell's own [some] field, so no option
+    is allocated. *)
 
 type _ Effect.t += Instr : 'a view -> 'a Effect.t
 (** The single effect simulated processes perform; handled by {!Engine}. *)

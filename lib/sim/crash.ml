@@ -7,7 +7,7 @@ type op_info = {
   step : int;
   op_index : int;
   kind : Api.kind;
-  cell : string option;
+  cell : Cell.t option;
   note : Event.note option;
   unsafe_wrt : int list;
 }
@@ -21,6 +21,8 @@ type op_info = {
    state — reordering can change where the plan fires, so POR must stay
    off. *)
 type por_class = Robust of int list | Sensitive
+
+let cell_name info = Option.map Cell.name info.cell
 
 type t = {
   label : string;
@@ -102,7 +104,7 @@ let on_cell ~pid ~cell ~occurrence point =
   on_match
     ~label:(Printf.sprintf "on-cell(p%d,%s,%d)" pid cell occurrence)
     ~pid ~occurrence ~point
-    (fun info -> info.cell = Some cell)
+    (fun info -> match info.cell with Some c -> String.equal (Cell.name c) cell | None -> false)
 
 let on_custom_note ~pid ~tag ~occurrence point =
   on_match
@@ -137,17 +139,15 @@ let random ~seed ~rate ~max_crashes ?pids () =
 let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () =
   let rng = Random.State.make [| seed; 0xdeadfa5 |] in
   let budget = ref max_crashes in
-  let has_suffix s suf =
-    let ls = String.length s and lf = String.length suf in
-    ls >= lf && String.sub s (ls - lf) lf = suf
-  in
   {
     label = Printf.sprintf "fas-gap(rate=%g,max=%d)" rate max_crashes;
     on_op =
       (fun info ->
+        (* Only FAS targets are rendered: the kind test comes first. *)
         match info.cell with
         | Some cell
-          when !budget > 0 && info.kind = Api.Fas && has_suffix cell cell_suffix
+          when !budget > 0 && info.kind = Api.Fas
+               && String.ends_with ~suffix:cell_suffix (Cell.name cell)
                && Random.State.float rng 1.0 < rate ->
             decr budget;
             Crash After

@@ -33,7 +33,11 @@ type op_info = {
           included (pinned by the "op_index continues across restarts"
           test in [test/test_sim.ml]). *)
   kind : Api.kind;
-  cell : string option;  (** name of the touched cell, if any *)
+  cell : Cell.t option;
+      (** the touched cell, if any.  Its name is not rendered for the
+          consult: a plan that matches on names calls {!cell_name} (or
+          {!Cell.name}) only on the ops it tests, so the consult path of a
+          run formats no name nobody reads. *)
   note : Event.note option;  (** payload when [kind = Note] *)
   unsafe_wrt : int list;
       (** ids of the locks whose sensitive window ({!Api.fas_open_unsafe} …
@@ -43,6 +47,9 @@ type op_info = {
           process right now is an unsafe failure" (§2.2), which is what an
           execution-aware adversary needs to aim at the window. *)
 }
+
+val cell_name : op_info -> string option
+(** The name of the touched cell, rendered on demand ({!Cell.name}). *)
 
 type t
 

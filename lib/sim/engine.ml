@@ -615,7 +615,7 @@ let record_op : type a. t -> int -> a Api.view -> unit =
              step = eng.step;
              pid;
              kind;
-             cell = (match cell with Some c -> c.Cell.name | None -> "-");
+             cell = (match cell with Some c -> Cell.name c | None -> "-");
              value = (match cell with Some c -> Memory.peek eng.mem c | None -> 0);
            })
     in
@@ -698,7 +698,7 @@ let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
       step = eng.step;
       op_index = eng.op_index.(pid);
       kind = Api.kind_of_view view;
-      cell = Api.cell_name view;
+      cell = Api.cell_of_view view;
       note = (match view with Api.V_note n -> Some n | _ -> None);
       unsafe_wrt = eng.unsafe_open.(pid);
     }
@@ -931,7 +931,7 @@ let segment eng pid =
     else "entry"
   in
   match eng.states.(pid) with
-  | Parked p -> Printf.sprintf "%s parked@%s" base p.pcell.Cell.name
+  | Parked p -> Printf.sprintf "%s parked@%s" base (Cell.name p.pcell)
   | Start | Ready _ | Woken _ | Halted -> base
 
 (* Diagnose an abnormal end state.  Deadlock is structural (every live
@@ -1003,9 +1003,12 @@ let finish eng =
     steps = eng.step;
     total_rmr = eng.total_rmr;
     rmr_by_kind =
-      List.filter
-        (fun (_, v) -> v > 0)
-        (Array.to_list (Array.mapi (fun i v -> (kind_of_code.(i), v)) eng.rmr_by_kind));
+      (let acc = ref [] in
+       for i = Array.length eng.rmr_by_kind - 1 downto 0 do
+         let v = eng.rmr_by_kind.(i) in
+         if v > 0 then acc := (kind_of_code.(i), v) :: !acc
+       done;
+       !acc);
     total_crashes = Array.fold_left ( + ) 0 eng.crashes;
     system_crashes = eng.system_crashes;
     procs;
@@ -1018,15 +1021,37 @@ let finish eng =
     events = Event.Sink.events eng.sink;
   }
 
+(* Discontinue every fiber still suspended when a run ends deadlocked or
+   timed out.  A one-shot continuation that is dropped instead of resumed
+   keeps its fiber stack allocated for the life of the process, so a
+   search of many stalled runs would grow without bound.  Called after the
+   result is built: a body's unwinding cannot change it. *)
+let rec drop_fiber = function
+  | Ready (_, k) -> drop_fiber (Effect.Deep.discontinue k Crashed)
+  | Parked p | Woken p -> drop_fiber (Effect.Deep.discontinue p.pk Crashed)
+  | Start | Halted -> ()
+
+let release_fibers eng =
+  for pid = 0 to eng.n - 1 do
+    let st = eng.states.(pid) in
+    eng.states.(pid) <- Halted;
+    drop_fiber st
+  done
+
 (* Domain-safety audit (parallel explorer): [run] is re-entrant.  Every
    piece of mutable state below — the store, the engine record, the fiber
    continuations, the per-process arrays — is created inside this call and
-   never escapes it; the module has no top-level mutable bindings (and the
-   same holds for Memory, Cell, Api, Crash and Vec).  Concurrent [run]s in
-   different domains therefore share nothing, *provided* the caller's
-   [sched], [crash], [setup] and [body] arguments are themselves
-   domain-safe: a stateful scheduler or crash plan must be built fresh per
-   run, and the closures must not capture shared mutable state. *)
+   never escapes it, with one exception: a checkpoint's [jops] entries
+   carry the run's cells, and a snapshot may be resumed on another domain.
+   The only mutable part of a cell is its name memo ({!Cell.name}), which
+   two domains may race to fill; both write equal strings, so either read
+   is the name.  The module's one top-level binding with state,
+   [unused_sched], is never consulted; Memory, Cell, Api, Crash and Vec
+   have no top-level mutable bindings.  Concurrent [run]s in different
+   domains therefore share nothing else, *provided* the caller's [sched],
+   [crash], [setup] and [body] arguments are themselves domain-safe: a
+   stateful scheduler or crash plan must be built fresh per run, and the
+   closures must not capture shared mutable state. *)
 (* The oracles an abort plan's async decisions read, closed over the live
    engine.  Built once per run, only when an abort plan is present. *)
 let make_abort_view eng =
@@ -1131,7 +1156,7 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
       occupancy_max = Array.make nlocks 0;
       unsafe_crashes = Array.make nlocks 0;
       lock_names = Vec.to_array ctx.lock_names;
-      parked_cells = Hashtbl.create 64;
+      parked_cells = Hashtbl.create n (* at most one parked cell per process *);
       events = (match Event.Sink.buffer sink with Some v -> v | None -> Vec.create ());
       ready_bufs = Array.make (n + 1) [||];
       last_rmr = 0;
@@ -1183,7 +1208,9 @@ let run ?(mode = `Auto) ?sink ?(record = false) ?(trace_ops = false) ?(max_steps
     end
   in
   loop ();
-  finish eng
+  let res = finish eng in
+  release_fibers eng;
+  res
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume                                                 *)
@@ -1453,6 +1480,11 @@ let replay_plan plan abort_plan (s : Snap.t) =
     done
   end
 
+(* [run_resumable]'s engine record needs a scheduler, but its loop picks
+   inline.  Never consulted, so its cursor never moves and every run (on
+   any domain) can share this one. *)
+let unused_sched = Sched.round_robin ()
+
 type rrun = {
   rr_result : result;
   rr_degrees : int array;
@@ -1482,7 +1514,7 @@ let run_resumable ?from ?(snap_gap = 0) ?(snap = fun (_ : Snap.t) -> ()) ?(recor
     {
       mem;
       n;
-      sched = Sched.round_robin () (* never consulted: the loop below picks *);
+      sched = unused_sched;
       crash = plan;
       abort = plan_abort;
       has_abort = plan_abort != Abort.none;
@@ -1532,7 +1564,7 @@ let run_resumable ?from ?(snap_gap = 0) ?(snap = fun (_ : Snap.t) -> ()) ?(recor
       occupancy_max = Array.make nlocks 0;
       unsafe_crashes = Array.make nlocks 0;
       lock_names = Vec.to_array ctx.lock_names;
-      parked_cells = Hashtbl.create 64;
+      parked_cells = Hashtbl.create n (* at most one parked cell per process *);
       events = (match Event.Sink.buffer sink with Some v -> v | None -> Vec.create ());
       ready_bufs = Array.make (n + 1) [||];
       last_rmr = 0;
@@ -1650,8 +1682,10 @@ let run_resumable ?from ?(snap_gap = 0) ?(snap = fun (_ : Snap.t) -> ()) ?(recor
     end
   in
   loop ();
+  let rr_result = finish eng in
+  release_fibers eng;
   {
-    rr_result = finish eng;
+    rr_result;
     rr_degrees = Vec.to_array degrees;
     rr_footprints = (match footprints with Some v -> Vec.to_array v | None -> [||]);
   }

@@ -138,25 +138,54 @@ let independent a b =
    reporting a race, which costs the explorer extra schedules but never
    coverage. *)
 module Race = struct
-  (* [scan ~n ~len ~executed ~degree ~emit]:
+  (* Clock arrays of [scan], kept across the scans of one search so a
+     scanned run allocates no clocks once the buffers have grown to the
+     longest run.  Every cell a scan reads is written earlier in the same
+     scan, except those of [cur] and [evs], which are reset on entry. *)
+  type scratch = {
+    mutable eclock : int array;
+    mutable cur : int array;
+    mutable v : int array;
+    mutable cand_pos : int array;
+    mutable evs : int Vec.t array;
+  }
+
+  let scratch () = { eclock = [||]; cur = [||]; v = [||]; cand_pos = [||]; evs = [||] }
+
+  let prepare s ~n ~len =
+    if Array.length s.eclock < len * n then
+      s.eclock <- Array.make (max (len * n) (2 * Array.length s.eclock)) (-1);
+    if Array.length s.evs <> n then begin
+      s.cur <- Array.make (n * n) (-1);
+      s.v <- Array.make n (-1);
+      s.cand_pos <- Array.make n (-1);
+      s.evs <- Array.init n (fun _ -> Vec.create ())
+    end
+    else begin
+      Array.fill s.cur 0 (n * n) (-1);
+      Array.iter Vec.clear s.evs
+    end
+
+  (* [scan_with scratch ~n ~len ~executed ~degree ~emit]:
      [executed i] is the footprint of the step the run took at decision
      position [i]; [degree i] its branching degree (races at degree-1
      positions have no alternative schedule and are not emitted);
      [emit ~pos ~pid] demands that the explorer also try scheduling [pid]
      at position [pos].  O(len * n) plus the race-initial walks. *)
-  let scan ~n ~len ~executed ~degree ~emit =
+  let scan_with scratch ~n ~len ~executed ~degree ~emit =
     if len > 0 then begin
+      prepare scratch ~n ~len;
       (* eclock.(j*n + q): highest position of a step of process [q] that
          happens-before (or is) step [j]; -1 if none. *)
-      let eclock = Array.make (len * n) (-1) in
+      let eclock = scratch.eclock in
       (* cur.(p*n + q): the same clock carried forward along process [p]'s
          program order. *)
-      let cur = Array.make (n * n) (-1) in
+      let cur = scratch.cur in
       (* positions of each process's steps so far, in order *)
-      let evs = Array.init n (fun _ -> Vec.create ()) in
-      let v = Array.make n (-1) in
+      let evs = scratch.evs in
+      let v = scratch.v in
       (* race candidates of one step: at most one per other process *)
-      let cand_pos = Array.make n (-1) in
+      let cand_pos = scratch.cand_pos in
       for j = 0 to len - 1 do
         let f = executed j in
         let p = pid f in
@@ -199,16 +228,16 @@ module Race = struct
               cand_pos.(q) <- -1;
               if k > v.(q) then begin
                 (* Reversible race between steps k and j. *)
-                (if degree k > 1 then
+                (if degree k > 1 then begin
                    (* Initial of the reversal: first step after [k] not
                       happens-after step [k]; [eclock.(m*n+q) >= k] iff a
                       step of q at or past [k] happens-before step [m]. *)
-                   let rec find m =
-                     if m >= j then p
-                     else if eclock.((m * n) + q) < k then pid (executed m)
-                     else find (m + 1)
-                   in
-                   emit ~pos:k ~pid:(find (k + 1)));
+                   let m = ref (k + 1) in
+                   while !m < j && eclock.((!m * n) + q) >= k do
+                     incr m
+                   done;
+                   emit ~pos:k ~pid:(if !m >= j then p else pid (executed !m))
+                 end);
                 (* Dependence orders k before j for later steps. *)
                 for r = 0 to n - 1 do
                   let x = eclock.((k * n) + r) in
@@ -231,6 +260,8 @@ module Race = struct
         Vec.push evs.(p) j
       done
     end
+
+  let scan ~n ~len ~executed ~degree ~emit = scan_with (scratch ()) ~n ~len ~executed ~degree ~emit
 end
 
 let pp ppf t =

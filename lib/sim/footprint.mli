@@ -63,4 +63,21 @@ module Race : sig
       The dependence oracle is {!independent}, so every conservative
       "dependent" answer can only add emitted demands, never hide one.
       O([len] · [n]) plus the per-race initial walks. *)
+
+  type scratch
+  (** Clock buffers reused across scans: a search that scans thousands of
+      runs allocates them once, at the size of its longest run. *)
+
+  val scratch : unit -> scratch
+
+  val scan_with :
+    scratch ->
+    n:int ->
+    len:int ->
+    executed:(int -> t) ->
+    degree:(int -> int) ->
+    emit:(pos:int -> pid:int -> unit) ->
+    unit
+  (** [scan_with s] is {!scan} over the buffers of [s].  One scratch
+      serves one scan at a time. *)
 end

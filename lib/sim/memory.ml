@@ -19,8 +19,10 @@ type t = {
      line is valid iff it equals the current version).  Rows are allocated
      lazily on a cell's first accounted access: large lock structures whose
      deep parts are never touched (e.g. the base levels of BA-Lock in a
-     failure-free run) cost nothing.  Only used under CC. *)
-  cached : int array option Vec.t;
+     failure-free run) cost nothing; an untouched cell holds the empty
+     array (a row has [n] >= 1 entries).  Only used under CC. *)
+  cached : int array Vec.t;
+  cells : Cell.t Vec.t;  (* every allocated cell, by id *)
   (* RMR cost of the last unboxed-variant operation ([read_u] etc.): the
      engine's hot loop reads it back instead of allocating a result tuple
      per instruction. *)
@@ -35,6 +37,7 @@ let create model ~n =
     contents = Vec.create ();
     version = Vec.create ();
     cached = Vec.create ();
+    cells = Vec.create ();
     last_cost = 0;
   }
 
@@ -42,16 +45,30 @@ let model t = t.model
 
 let n t = t.n
 
-let alloc t ?(home = Cell.global) ~name v =
-  if home <> Cell.global && (home < 0 || home >= t.n) then
-    invalid_arg (Printf.sprintf "Memory.alloc %s: home %d out of range" name home);
-  let id = Vec.length t.contents in
+let home_ok t home = home = Cell.global || (home >= 0 && home < t.n)
+
+let bad_home name home =
+  invalid_arg (Printf.sprintf "Memory.alloc %s: home %d out of range" name home)
+
+let push_cell t c v =
   Vec.push t.contents v;
   Vec.push t.version 0;
-  Vec.push t.cached None;
-  Cell.make ~id ~name ~home
+  Vec.push t.cached [||];
+  Vec.push t.cells c;
+  c
+
+let alloc t ?(home = Cell.global) ~name v =
+  if not (home_ok t home) then bad_home name home;
+  push_cell t (Cell.make ~id:(Vec.length t.contents) ~name ~home) v
+
+let alloc_nth t ~home ~stem ~index ~suffix v =
+  if not (home_ok t home) then bad_home (stem ^ string_of_int index ^ suffix) home;
+  if index < 0 then invalid_arg (Printf.sprintf "Memory.alloc_nth %s: negative index" stem);
+  push_cell t (Cell.make_nth ~id:(Vec.length t.contents) ~stem ~index ~suffix ~home) v
 
 let cell_count t = Vec.length t.contents
+
+let cell t id = Vec.get t.cells id
 
 let peek t (c : Cell.t) = Vec.get t.contents c.id
 
@@ -67,18 +84,20 @@ let dsm_cost (c : Cell.t) pid = if c.home = pid then 0 else 1
 
 (* A fresh row means "cached by nobody": version 0 vs stored -1. *)
 let row t (c : Cell.t) =
-  match Vec.get t.cached c.id with
-  | Some r -> r
-  | None ->
-      let r = Array.make t.n (-1) in
-      Vec.set t.cached c.id (Some r);
-      r
+  let r = Vec.get t.cached c.id in
+  if Array.length r > 0 then r
+  else begin
+    let r = Array.make t.n (-1) in
+    Vec.set t.cached c.id r;
+    r
+  end
 
 let forget t ~pid =
   check_pid t pid;
   if t.model = CC then
     for cell = 0 to Vec.length t.cached - 1 do
-      match Vec.get t.cached cell with Some r -> r.(pid) <- -1 | None -> ()
+      let r = Vec.get t.cached cell in
+      if Array.length r > 0 then r.(pid) <- -1
     done
 
 (* Unboxed variants: same accounting as the tuple-returning API below, but
@@ -159,7 +178,7 @@ let fas t ~pid (c : Cell.t) v =
 type image = {
   i_contents : int array;
   i_version : int array;
-  i_cached : int array option array;
+  i_cached : int array array;
 }
 
 let snapshot t =
@@ -167,9 +186,7 @@ let snapshot t =
   {
     i_contents = Vec.prefix_array t.contents len;
     i_version = Vec.prefix_array t.version len;
-    i_cached =
-      Array.init len (fun c ->
-          match Vec.get t.cached c with Some r -> Some (Array.copy r) | None -> None);
+    i_cached = Array.init len (fun c -> Array.copy (Vec.get t.cached c));
   }
 
 let restore t img =
@@ -181,8 +198,7 @@ let restore t img =
   for c = 0 to len - 1 do
     Vec.set t.contents c img.i_contents.(c);
     Vec.set t.version c img.i_version.(c);
-    Vec.set t.cached c
-      (match img.i_cached.(c) with Some r -> Some (Array.copy r) | None -> None)
+    Vec.set t.cached c (Array.copy img.i_cached.(c))
   done
 
 (* One-word digest of everything [snapshot] would copy: cell contents,
@@ -198,12 +214,12 @@ let fingerprint t =
   for c = 0 to len - 1 do
     h := mix !h (Vec.get t.contents c);
     h := mix !h (Vec.get t.version c);
-    match Vec.get t.cached c with
-    | None -> h := mix !h 0x9e3779b9
-    | Some r ->
-        for p = 0 to t.n - 1 do
-          h := mix !h r.(p)
-        done
+    let r = Vec.get t.cached c in
+    if Array.length r = 0 then h := mix !h 0x9e3779b9
+    else
+      for p = 0 to t.n - 1 do
+        h := mix !h r.(p)
+      done
   done;
   !h
 

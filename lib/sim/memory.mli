@@ -37,7 +37,22 @@ val alloc : t -> ?home:int -> name:string -> int -> Cell.t
     [home] defaults to {!Cell.global}.  Allocation happens during lock
     construction (outside any simulated execution) and costs no RMRs. *)
 
+val alloc_nth :
+  t -> home:int -> stem:string -> index:int -> suffix:string -> int -> Cell.t
+(** [alloc_nth t ~home ~stem ~index ~suffix v] is {!alloc} for a cell named
+    [stem ^ string_of_int index ^ suffix], e.g. [~stem:"wr.pred[" ~index:0
+    ~suffix:"]"].  The name is rendered the first time {!Cell.name} reads
+    it, so a lock pays for formatting only when something prints or matches
+    its cells: build [stem] and [suffix] once per lock or array and pass
+    only the index per cell.  [home] is required (pass {!Cell.global} for a
+    global cell) so the call boxes no optional argument.
+    @raise Invalid_argument when [index] is negative. *)
+
 val cell_count : t -> int
+
+val cell : t -> int -> Cell.t
+(** [cell t id] is the cell with id [id] (ids count allocations from 0) —
+    for checkers and tests that enumerate a store. *)
 
 val peek : t -> Cell.t -> int
 (** [peek t c] reads [c] without any accounting — for checkers, printers and

@@ -12,14 +12,16 @@ let round_robin () =
     label = "round-robin";
     pick =
       (fun ~runnable ~step:_ ->
-        (* Smallest runnable pid strictly greater than the cursor, wrapping. *)
+        (* Smallest runnable pid strictly greater than the cursor, wrapping.
+           A plain loop over local refs: nothing escapes, so a pick
+           allocates nothing. *)
         let best = ref (-1) in
         let smallest = ref runnable.(0) in
-        Array.iter
-          (fun p ->
-            if p < !smallest then smallest := p;
-            if p > !cursor && (!best = -1 || p < !best) then best := p)
-          runnable;
+        for i = 0 to Array.length runnable - 1 do
+          let p = Array.unsafe_get runnable i in
+          if p < !smallest then smallest := p;
+          if p > !cursor && (!best = -1 || p < !best) then best := p
+        done;
         let chosen = if !best = -1 then !smallest else !best in
         cursor := chosen;
         chosen);

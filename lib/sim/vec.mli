@@ -40,6 +40,11 @@ val pop : 'a t -> 'a
 val clear : 'a t -> unit
 (** [clear t] removes all elements (O(1); storage is retained). *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate t len] drops every element past the first [len] (O(1);
+    storage is retained).  @raise Invalid_argument when [len] is negative
+    or exceeds the length. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

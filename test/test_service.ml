@@ -1,6 +1,7 @@
 (* Tests for the engine hot-path overhaul and its measurement plumbing:
    Vec edge cases, event sinks (ring wrap-around, policy equivalence),
-   the Api.step clock, the `Fast/`Full differential contract, the
+   the Api.step clock, the `Fast/`Full differential contract, the fixed
+   cost of a run (cell names, allocation ceilings, fiber release), the
    log-linear histogram, and the explorer's search-effort counters. *)
 
 open Rme_sim
@@ -325,6 +326,202 @@ let test_constant_instr_resume () =
     !snaps
 
 (* ------------------------------------------------------------------ *)
+(* Per-run fixed cost                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every cell of every registry lock, built for [n] processes, as the
+   store enumerates them. *)
+let registry_cell_names ~n (spec : Rme.Spec.t) =
+  let names = ref [] in
+  ignore
+    (Engine.run ~n ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
+       ~setup:(fun ctx ->
+         let lock = spec.Rme.Spec.make ctx in
+         let mem = Engine.Ctx.memory ctx in
+         names := List.init (Memory.cell_count mem) (fun i -> Cell.name (Memory.cell mem i));
+         lock)
+       ~body:(fun _ ~pid:_ -> ())
+       ());
+  !names
+
+let test_registry_cell_names () =
+  let all =
+    List.map (fun (spec : Rme.Spec.t) -> (spec.Rme.Spec.key, registry_cell_names ~n:3 spec)) Rme.Spec.all
+  in
+  List.iter
+    (fun (key, names) ->
+      check ci (key ^ ": cell names distinct") (List.length names)
+        (List.length (List.sort_uniq String.compare names)))
+    all;
+  let has key name =
+    check cb (Printf.sprintf "%s has %s" key name) true (List.mem name (List.assoc key all))
+  in
+  List.iter (has "wr") [ "wr.tail"; "wr.pred[0]"; "wr.mine[1]"; "wr.state[2]" ];
+  List.iter (has "sa-jjj")
+    [ "sa-jjj.owner"; "sa-jjj.type[2]"; "sa-jjj.filter.pred[1]"; "sa-jjj.core.l1.n0.tail" ];
+  List.iter (has "ba-jjj") [ "ba.l1.filter.tail"; "ba.l2.owner"; "ba.hint[2]" ];
+  List.iter (has "tournament") [ "tournament.spin[2]"; "tournament.l0.a1.want[0]"; "tournament.l1.a0.turn" ];
+  List.iter (has "jjj-sys") [ "jjj-sys.seq"; "jjj-sys.ann[2]" ];
+  List.iter (has "wr-reclaim") [ "reclaim.snapshot[2][1]" ];
+  (* Queue nodes are allocated during runs; their names follow the same
+     scheme. *)
+  let mem = Memory.create Memory.DSM ~n:3 in
+  let reg = Rme_locks.Nodes.create_registry mem ~prefix:"wr" in
+  let nodes = List.init 3 (fun owner -> Rme_locks.Nodes.fresh reg ~owner) in
+  let n3 = List.nth nodes 2 in
+  check Alcotest.string "node next" "wr.n1.next" (Cell.name (List.hd nodes).Rme_locks.Nodes.next);
+  check Alcotest.string "node locked" "wr.n3.locked" (Cell.name n3.Rme_locks.Nodes.locked);
+  check ci "node home" 2 n3.Rme_locks.Nodes.locked.Cell.home;
+  check cb "rendered once, then memoised" true
+    (Cell.name n3.Rme_locks.Nodes.locked == Cell.name n3.Rme_locks.Nodes.locked)
+
+(* The crash consult identifies cells without naming them: a WR-Lock run
+   under a crash plan consulted on every instruction leaves every
+   numbered name (pred, mine, state, queue nodes) unrendered; only the
+   fixed [wr.tail] was named at allocation. *)
+let test_consult_renders_no_name () =
+  let mem = ref None in
+  let res =
+    Engine.run ~n:3 ~model:Memory.CC ~sched:(Sched.random ~seed:4)
+      ~crash:(Crash.random ~seed:4 ~rate:0.05 ~max_crashes:3 ())
+      ~setup:(fun ctx ->
+        mem := Some (Engine.Ctx.memory ctx);
+        Rme_locks.Wr_lock.make ctx)
+      ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:2 pid)
+      ()
+  in
+  check cb "the plan crashed someone" true (res.Engine.total_crashes > 0);
+  let mem = Option.get !mem in
+  let rendered =
+    List.filter
+      (fun i -> String.length (Memory.cell mem i).Cell.rendered > 0)
+      (List.init (Memory.cell_count mem) Fun.id)
+  in
+  check cb "queue nodes were allocated" true (Memory.cell_count mem > 10);
+  check (Alcotest.list Alcotest.string) "only the fixed name is rendered" [ "wr.tail" ]
+    (List.map (fun i -> (Memory.cell mem i).Cell.rendered) rendered)
+
+(* Minor words per call of [f], after one warm-up call. *)
+let words_per_call ?(reps = 20) f =
+  f ();
+  let m0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Gc.minor_words () -. m0) /. float_of_int reps
+
+(* A run whose bodies return at once costs its set-up: the engine record,
+   the store and the lock's cells.  Cell names are not formatted unless
+   read, so building the SA stack stays well under the 2.8k words it took
+   when every name was formatted at allocation (1.5k on OCaml 5.1). *)
+let test_noop_run_ceiling () =
+  let make = (Rme.Spec.find_exn "sa-jjj").Rme.Spec.make in
+  let w =
+    words_per_call (fun () ->
+        ignore
+          (Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
+             ~setup:make ~body:(fun _ ~pid:_ -> ()) ()))
+  in
+  check cb (Printf.sprintf "no-op sa-jjj run: %.0f words <= 1600" w) true (w <= 1600.0)
+
+(* An explored run reuses its search's decision path and run buffers, so
+   it pays for the engine run and little else (2.7k words on OCaml 5.1,
+   4.8k when every run rebuilt its buffers and formatted its names). *)
+let test_explored_run_ceiling () =
+  let engine_runs = ref 0 in
+  let search () =
+    ignore
+      (Rme_check.Explore.explore ~por:`Source ~max_steps:4_000
+         ~stats:(fun s -> engine_runs := s.Rme_check.Explore.engine_runs)
+         ~n:2 ~model:Memory.CC
+         ~crash:(fun () -> Crash.none)
+         ~setup:Rme_locks.Wr_lock.make
+         ~body:(fun lock ~pid -> Harness.standard_body ~lock ~requests:1 pid)
+         ~check:(fun r -> if r.Engine.cs_max > 1 then Some "ME" else None)
+         ())
+  in
+  let words = words_per_call ~reps:1 search in
+  let w = words /. float_of_int !engine_runs in
+  check cb "the search ran" true (!engine_runs > 1_000);
+  check cb (Printf.sprintf "wr-me-n2: %.0f words per explored run <= 4000" w) true (w <= 4000.0)
+
+(* A run that ends deadlocked or timed out still holds suspended fibers;
+   the engine discontinues them, so each live body unwinds exactly once
+   (and a dropped fiber's stack is freed). *)
+let test_stalled_runs_release_fibers () =
+  let unwound = ref 0 in
+  let guard f = Fun.protect ~finally:(fun () -> incr unwound) f in
+  let setup ctx = Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0 in
+  let deadlocked =
+    Engine.run ~n:2 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none ~setup
+      ~body:(fun c ~pid:_ -> guard (fun () -> Api.spin_until c (Api.Eq 1)))
+      ()
+  in
+  check cb "deadlocked" true deadlocked.Engine.deadlocked;
+  check ci "both parked bodies unwound" 2 !unwound;
+  let timed_out =
+    Engine.run ~max_steps:50 ~n:3 ~model:Memory.CC ~sched:(Sched.round_robin ()) ~crash:Crash.none
+      ~setup
+      ~body:(fun _ ~pid:_ ->
+        guard (fun () ->
+            while true do
+              Api.yield ()
+            done))
+      ()
+  in
+  check cb "timed out" true timed_out.Engine.timed_out;
+  check ci "all five live bodies unwound" 5 !unwound;
+  let rr =
+    Engine.run_resumable ~max_steps:50 ~decisions:[||] ~n:2 ~model:Memory.CC
+      ~crash:(fun () -> Crash.none)
+      ~setup
+      ~body:(fun c ~pid -> guard (fun () -> if pid = 0 then Api.spin_until c (Api.Eq 1) else Api.yield ()))
+      ()
+  in
+  check cb "resumable run deadlocked" true rr.Engine.rr_result.Engine.deadlocked;
+  (* p1 returned normally (one unwind of its own), p0 was parked. *)
+  check ci "resumable: halted and parked bodies unwound" 7 !unwound
+
+(* The pick rule of the round-robin scheduler, as a reference: the
+   smallest runnable pid above the previous pick, wrapping to the
+   smallest. *)
+let round_robin_reference () =
+  let cursor = ref 0 in
+  fun runnable ->
+    let above = List.filter (fun p -> p > !cursor) (Array.to_list runnable) in
+    let chosen =
+      match above with
+      | [] -> Array.fold_left min runnable.(0) runnable
+      | p :: ps -> List.fold_left min p ps
+    in
+    cursor := chosen;
+    chosen
+
+let test_round_robin_picks () =
+  let rng = Random.State.make [| 11 |] in
+  let sets =
+    List.init 500 (fun _ ->
+        let s = List.filter (fun _ -> Random.State.bool rng) [ 0; 1; 2; 3; 4 ] in
+        Array.of_list (if s = [] then [ Random.State.int rng 5 ] else s))
+  in
+  let sched = Sched.round_robin () and reference = round_robin_reference () in
+  List.iteri
+    (fun step runnable ->
+      check ci
+        (Printf.sprintf "pick %d" step)
+        (reference runnable)
+        (Sched.pick sched ~runnable ~step))
+    sets;
+  check (Alcotest.list ci) "pinned start" [ 1; 2; 0; 1; 2 ]
+    (let s = Sched.round_robin () in
+     List.map
+       (fun runnable -> Sched.pick s ~runnable ~step:0)
+       [ [| 0; 1; 2 |]; [| 0; 1; 2 |]; [| 0; 2 |]; [| 0; 1 |]; [| 2 |] ]);
+  let runnable = [| 0; 1; 2; 3 |] in
+  let w = words_per_call ~reps:10_000 (fun () -> ignore (Sched.pick sched ~runnable ~step:0)) in
+  check cb (Printf.sprintf "round-robin pick: %.2f words" w) true (w < 0.5)
+
+(* ------------------------------------------------------------------ *)
 (* Metrics.Hist                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -488,6 +685,16 @@ let () =
             test_constant_instr_modes;
           Alcotest.test_case "constant instructions: resume = replay under crashes" `Quick
             test_constant_instr_resume;
+        ] );
+      ( "fixed-cost",
+        [
+          Alcotest.test_case "registry cell names" `Quick test_registry_cell_names;
+          Alcotest.test_case "crash consult renders no name" `Quick test_consult_renders_no_name;
+          Alcotest.test_case "no-op run: words ceiling" `Quick test_noop_run_ceiling;
+          Alcotest.test_case "explored run: words ceiling" `Quick test_explored_run_ceiling;
+          Alcotest.test_case "stalled runs release their fibers" `Quick
+            test_stalled_runs_release_fibers;
+          Alcotest.test_case "round-robin picks" `Quick test_round_robin_picks;
         ] );
       ( "hist",
         [
