@@ -104,8 +104,8 @@ let matrix_rows cfg ~subjects =
       compare (List.assoc a.Sweep.row_subject order) (List.assoc b.Sweep.row_subject order))
     rows
 
-let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps jobs
-    split_depth model aborts only out =
+let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps jobs model
+    aborts only out =
   let cfg =
     {
       Sweep.default_cfg with
@@ -116,7 +116,6 @@ let conformance n requests cs_yields budget site_cap plan_cap max_runs max_steps
       plan_cap;
       abort_timeout = aborts;
       jobs;
-      split_depth;
     }
   in
   let models =
@@ -210,11 +209,6 @@ let () =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Explore each plan over $(docv) OCaml domains (1 = sequential).")
   in
-  let split_depth =
-    Arg.(
-      value & opt int 1
-      & info [ "split-depth" ] ~docv:"D" ~doc:"Frontier split depth of the parallel explorer.")
-  in
   let model =
     Arg.(
       value
@@ -253,6 +247,6 @@ let () =
          ~doc:"Crash-site sweep conformance matrix over the lock registry.")
       Term.(
         const conformance $ n $ requests $ cs_yields $ budget $ site_cap $ plan_cap $ max_runs
-        $ max_steps $ jobs $ split_depth $ model $ aborts $ only $ out)
+        $ max_steps $ jobs $ model $ aborts $ only $ out)
   in
   exit (Cmd.eval' cmd)

@@ -127,7 +127,6 @@ val explore_parallel :
   ?por:[ `Off | `Sleep | `Source ] ->
   ?cache_capacity:int ->
   ?domains:int ->
-  ?split_depth:int ->
   ?snap_gap:int ->
   ?abort:(unit -> Abort.t) ->
   ?stats:(search_stats -> unit) ->
@@ -143,8 +142,7 @@ val explore_parallel :
     (default {!Pool.default_domains}).  The schedule tree is split into
     disjoint decision-vector subtrees by expanding the frontier until
     there are enough tasks to keep every domain fed through load
-    imbalance (at least [max 16 (8 * domains)], and at least
-    [split_depth] levels — default 1 — for compatibility); the subtrees
+    imbalance (at least [max 16 (8 * domains)]); the subtrees
     are distributed over a work-stealing {!Pool}, and each one is
     searched with engine checkpointing: every [snap_gap]-th decision
     position (default 4) captures an {!Engine.Snap.t}, and each node's

@@ -165,7 +165,6 @@ type cfg = {
   crash_model : crash_model;
   abort_timeout : int option;
   jobs : int;
-  split_depth : int;
 }
 
 let default_cfg =
@@ -179,7 +178,6 @@ let default_cfg =
     crash_model = Per_process;
     abort_timeout = None;
     jobs = 1;
-    split_depth = 1;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -333,8 +331,7 @@ let explore_once cfg ~n ~model ~record ~crash scenario check =
           ~n ~model ~crash ~setup ~body ~check ()
       else
         Explore.explore_parallel ~max_runs:cfg.max_runs_per_plan ~max_steps:cfg.max_steps
-          ~record ~abort ~domains:cfg.jobs ~split_depth:cfg.split_depth ~n ~model ~crash ~setup
-          ~body ~check ()
+          ~record ~abort ~domains:cfg.jobs ~n ~model ~crash ~setup ~body ~check ()
 
 let sweep cfg ~n ~model ~props scenario =
   let sites_seen, sites, sites_truncated = discover cfg ~n ~model scenario in

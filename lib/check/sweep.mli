@@ -26,7 +26,7 @@
     pure function of the discovered sites; per-plan outcomes inherit the
     explorer's sequential-vs-parallel determinism guarantee.  Everything
     rendered by {!matrix_cells}/{!matrix_details} is therefore
-    byte-identical across [jobs] and [split_depth] — only {!campaign.runs}
+    byte-identical across [jobs] — only {!campaign.runs}
     (how many schedules the parallel explorer executed before cancelling)
     may vary, and it is deliberately excluded from the rendered matrix. *)
 
@@ -155,14 +155,12 @@ type cfg = {
           schedule-sensitive, so the explorer runs unreduced under this
           axis. *)
   jobs : int;  (** 1 = sequential {!Explore.explore}; > 1 = that many domains *)
-  split_depth : int;  (** frontier split depth of the parallel explorer *)
 }
 
 val default_cfg : cfg
 (** [{ max_runs_per_plan = 300; max_steps = 4_000; budget = 1;
       site_cap = 96; plan_cap = 256; site_kinds = None;
-      crash_model = Per_process; abort_timeout = None; jobs = 1;
-      split_depth = 1 }] *)
+      crash_model = Per_process; abort_timeout = None; jobs = 1 }] *)
 
 (** {1 The sweep} *)
 
@@ -252,7 +250,7 @@ val matrix_cells : mrow list -> string list * string list list
     property name occurring in any battery ("-" where a subject does not
     check it), then deterministic site/plan counts and truncation flags.
     Contains no run counts, so the rendering is byte-identical across
-    [jobs]/[split_depth]. *)
+    [jobs]. *)
 
 val matrix_details : mrow list -> string list
 (** Deterministic detail lines: one per FAIL (plan label, message, shrunk

@@ -288,10 +288,12 @@ val run_resumable :
   body:('a -> pid:int -> unit) ->
   unit ->
   rrun
-(** [run_resumable ~decisions ...] replays the schedule identified by
-    [decisions] exactly as {!run} under {!Sched.trace} would (position [i]
-    picks the [decisions.(i)]-th smallest runnable pid, default 0 past the
-    end), with two additions:
+(** [run_resumable ~decisions ...] {e is} {!run} under
+    [Sched.trace ~decisions] (position [i] picks the [decisions.(i)]-th
+    smallest runnable pid, default 0 past the end): the same engine record
+    and the same step loop, here with the run journal switched on, the
+    per-position degrees and (with [por]) footprints returned in the
+    {!rrun}, and two additions:
 
     - [from] resumes from a snapshot instead of starting at the root: the
       positions before [Snap.pos from] are reconstructed by fast-forward

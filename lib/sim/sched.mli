@@ -40,10 +40,14 @@ exception Unfaithful of { position : int; choice : int; degree : int }
 
 val trace :
   ?mismatch:bool ref -> ?strict:bool -> decisions:int Vec.t -> record:int Vec.t -> unit -> t
-(** Replay scheduler for the bounded explorer: the [i]-th pick takes
-    [decisions.(i)] as an index into the sorted runnable set (0 when the
-    trace is exhausted) and appends the size of the runnable set to
-    [record], letting the explorer enumerate sibling branches.
+(** Replay scheduler for the bounded explorer: a pick at position [i]
+    takes [decisions.(i)] as an index into the sorted runnable set (0 when
+    the trace is exhausted) and appends the size of the runnable set to
+    [record], letting the explorer enumerate sibling branches.  The
+    position is [Vec.length record]: with an empty [record] the [i]-th
+    pick is position [i], and a [record] seeded with a prefix of degrees
+    continues the schedule after that prefix — how a resumed run
+    ({!Engine.run_resumable}) picks up at its checkpoint.
 
     A decision outside the observed branching degree means the replay has
     diverged from the run the vector was recorded against (shrinking can
