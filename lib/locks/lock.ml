@@ -9,34 +9,40 @@ type t = Harness.lock = {
 
 type maker = Engine.Ctx.t -> t
 
+(* The milestone notes are built once per lock, not once per call. *)
 let instrument ~id ~name ?try_abort ~acquire ~release () =
+  let enter = Event.Lock_enter id and acquired = Event.Lock_acquired id in
+  let release_note = Event.Lock_release id and released = Event.Lock_released id in
   {
     name;
     acquire =
       (fun ~pid ->
-        Api.note (Event.Lock_enter id);
+        Api.note enter;
         acquire ~pid;
-        Api.note (Event.Lock_acquired id));
+        Api.note acquired);
     release =
       (fun ~pid ->
-        Api.note (Event.Lock_release id);
+        Api.note release_note;
         release ~pid;
-        Api.note (Event.Lock_released id));
+        Api.note released);
     try_abort =
       Option.map
-        (fun inner ~pid ->
-          Api.note (Event.Abort_request id);
-          match (inner ~pid : Harness.abort_outcome) with
-          | Harness.Aborted ->
-              Api.note (Event.Abort_done id);
-              Harness.Aborted
-          | Harness.Acquired_instead ->
-              Api.note (Event.Abort_lost_race id);
-              Harness.Acquired_instead
-          | Harness.Not_supported ->
-              (* No protocol ran: the request proceeds as if never aborted;
-                 the signal resolves at [Lock_acquired]. *)
-              Harness.Not_supported)
+        (fun inner ->
+          let request = Event.Abort_request id and aborted = Event.Abort_done id in
+          let lost_race = Event.Abort_lost_race id in
+          fun ~pid ->
+            Api.note request;
+            match (inner ~pid : Harness.abort_outcome) with
+            | Harness.Aborted ->
+                Api.note aborted;
+                Harness.Aborted
+            | Harness.Acquired_instead ->
+                Api.note lost_race;
+                Harness.Acquired_instead
+            | Harness.Not_supported ->
+                (* No protocol ran: the request proceeds as if never
+                   aborted; the signal resolves at [Lock_acquired]. *)
+                Harness.Not_supported)
         try_abort;
   }
 

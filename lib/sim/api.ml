@@ -3,6 +3,26 @@ type cond = Eq of int | Ne of int | Ge of int | Pred of (int -> bool)
 let cond_holds c v =
   match c with Eq x -> v = x | Ne x -> v <> x | Ge x -> v >= x | Pred p -> p v
 
+(* Declared before [kind], whose constructors share seven of its names: an
+   [Api.Read] with no expected type is the kind, an op is told apart by
+   its type. *)
+type op =
+  | Read of Cell.t
+  | Write of Cell.t * int
+  | Cas of Cell.t * int * int
+  | Fas of Cell.t * int
+  | Fas_open_unsafe of int * Cell.t * int
+  | Fas_persist of Cell.t * int * Cell.t
+  | Write_close_unsafe of int * Cell.t * int
+  | Faa of Cell.t * int
+  | Spin of Cell.t * cond
+  | Spin_abortable of Cell.t * cond
+  | Note of Event.note
+  | Get_done
+  | Get_step
+  | Poll_abort
+  | Yield
+
 type kind = Read | Write | Cas | Fas | Faa | Spin | Note | Nop
 
 let pp_kind ppf k =
@@ -17,96 +37,83 @@ let pp_kind ppf k =
     | Note -> "note"
     | Nop -> "nop")
 
-type _ view =
-  | V_read : Cell.t -> int view
-  | V_write : Cell.t * int -> unit view
-  | V_cas : Cell.t * int * int -> bool view
-  | V_fas : Cell.t * int -> int view
-  | V_fas_open_unsafe : int * Cell.t * int -> int view
-  | V_fas_persist : Cell.t * int * Cell.t -> unit view
-  | V_write_close_unsafe : int * Cell.t * int -> unit view
-  | V_faa : Cell.t * int -> int view
-  | V_spin : Cell.t * cond -> unit view
-  | V_spin_abortable : Cell.t * cond -> unit view
-  | V_note : Event.note -> unit view
-  | V_get_done : int view
-  | V_get_step : int view
-  | V_poll_abort : bool view
-  | V_yield : unit view
-
 exception Abort_signal
 
-let kind_of_view : type a. a view -> kind = function
-  | V_read _ -> Read
-  | V_write _ -> Write
-  | V_cas _ -> Cas
-  | V_fas _ -> Fas
-  | V_fas_open_unsafe _ -> Fas
-  | V_fas_persist _ -> Fas
-  | V_write_close_unsafe _ -> Write
-  | V_faa _ -> Faa
-  | V_spin _ -> Spin
-  | V_spin_abortable _ -> Spin
-  | V_note _ -> Note
-  | V_get_done -> Nop
-  | V_get_step -> Nop
-  | V_poll_abort -> Nop
-  | V_yield -> Nop
+let kind_of_op : op -> kind = function
+  | Read _ -> Read
+  | Write _ | Write_close_unsafe _ -> Write
+  | Cas _ -> Cas
+  | Fas _ | Fas_open_unsafe _ | Fas_persist _ -> Fas
+  | Faa _ -> Faa
+  | Spin _ | Spin_abortable _ -> Spin
+  | Note _ -> Note
+  | Get_done | Get_step | Poll_abort | Yield -> Nop
 
-(* Each cell carries its own [Some c], so the per-instruction crash consult
-   reads the touched cell without boxing an option. *)
-let cell_of_view : type a. a view -> Cell.t option = function
-  | V_read c -> c.some
-  | V_write (c, _) -> c.some
-  | V_cas (c, _, _) -> c.some
-  | V_fas (c, _) -> c.some
-  | V_fas_open_unsafe (_, c, _) -> c.some
-  | V_fas_persist (c, _, _) -> c.some
-  | V_write_close_unsafe (_, c, _) -> c.some
-  | V_faa (c, _) -> c.some
-  | V_spin (c, _) -> c.some
-  | V_spin_abortable (c, _) -> c.some
-  | V_note _ | V_get_done | V_get_step | V_poll_abort | V_yield -> None
+(* Each cell carries its own [Some c], so [Crash.cell] and the op trace
+   read the touched cell without boxing an option. *)
+let cell_of_op : op -> Cell.t option = function
+  | Read c
+  | Write (c, _)
+  | Cas (c, _, _)
+  | Fas (c, _)
+  | Fas_open_unsafe (_, c, _)
+  | Fas_persist (c, _, _)
+  | Write_close_unsafe (_, c, _)
+  | Faa (c, _)
+  | Spin (c, _)
+  | Spin_abortable (c, _) ->
+      c.some
+  | Note _ | Get_done | Get_step | Poll_abort | Yield -> None
 
-type _ Effect.t += Instr : 'a view -> 'a Effect.t
+type _ Effect.t += Instr : op -> int Effect.t
 
-let read c = Effect.perform (Instr (V_read c))
+(* The engine answers a unit instruction with 0 and a boolean one with 0
+   or 1: the representations of [()], [false] and [true].  So these
+   instructions return the answer retyped, not converted: a conversion
+   after [Effect.perform] keeps the caller's frame live across the
+   suspension, and resuming into that frame cost 20-30 ns per step (a
+   one-process yield, write or note loop, OCaml 5.1), while a perform in
+   tail position resumes straight into the caller. *)
+let perform_unit op : unit = Obj.magic (Effect.perform (Instr op))
 
-let write c v = Effect.perform (Instr (V_write (c, v)))
+let perform_bool op : bool = Obj.magic (Effect.perform (Instr op))
 
-let cas c ~expect ~value = Effect.perform (Instr (V_cas (c, expect, value)))
+let read c = Effect.perform (Instr (Read c))
 
-let fas c v = Effect.perform (Instr (V_fas (c, v)))
+let write c v = perform_unit (Write (c, v))
 
-let faa c v = Effect.perform (Instr (V_faa (c, v)))
+let cas c ~expect ~value = perform_bool (Cas (c, expect, value))
 
-let fas_open_unsafe ~lock c v = Effect.perform (Instr (V_fas_open_unsafe (lock, c, v)))
+let fas c v = Effect.perform (Instr (Fas (c, v)))
 
-let write_close_unsafe ~lock c v = Effect.perform (Instr (V_write_close_unsafe (lock, c, v)))
+let faa c v = Effect.perform (Instr (Faa (c, v)))
 
-let fas_persist c v ~dst = Effect.perform (Instr (V_fas_persist (c, v, dst)))
+let fas_open_unsafe ~lock c v = Effect.perform (Instr (Fas_open_unsafe (lock, c, v)))
 
-let spin_until c cond = Effect.perform (Instr (V_spin (c, cond)))
+let write_close_unsafe ~lock c v = perform_unit (Write_close_unsafe (lock, c, v))
 
-let spin_abortable c cond = Effect.perform (Instr (V_spin_abortable (c, cond)))
+let fas_persist c v ~dst = perform_unit (Fas_persist (c, v, dst))
+
+let spin_until c cond = perform_unit (Spin (c, cond))
+
+let spin_abortable c cond = perform_unit (Spin_abortable (c, cond))
 
 (* The argument-free instructions perform one shared effect value each: an
-   [Instr V_yield] built per call would be a fresh block per step, and the
-   engine answers these four from preallocated suspensions. *)
-let poll_abort_instr = Instr V_poll_abort
+   [Instr Yield] built per call would be a fresh block per step. *)
+let poll_abort_instr = Instr Poll_abort
 
-let get_done_instr = Instr V_get_done
+let get_done_instr = Instr Get_done
 
-let get_step_instr = Instr V_get_step
+let get_step_instr = Instr Get_step
 
-let yield_instr = Instr V_yield
+let yield_instr = Instr Yield
 
-let poll_abort () = Effect.perform poll_abort_instr
+let poll_abort () : bool = Obj.magic (Effect.perform poll_abort_instr)
 
-let note n = Effect.perform (Instr (V_note n))
+let note n = perform_unit (Note n)
 
 let completed_requests () = Effect.perform get_done_instr
 
 let step () = Effect.perform get_step_instr
 
-let yield () = Effect.perform yield_instr
+let yield () : unit = Obj.magic (Effect.perform yield_instr)

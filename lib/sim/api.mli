@@ -15,39 +15,47 @@ type cond = Eq of int | Ne of int | Ge of int | Pred of (int -> bool)
 
 val cond_holds : cond -> int -> bool
 
+(** The engine-side form of a suspended instruction.  Every instruction
+    answers an [int]: a unit instruction answers 0, a boolean one 0 for
+    [false] and 1 for [true] — the representations of [()], [false] and
+    [true], which is what lets {!write}, {!cas}, {!poll_abort} and the
+    other unit and boolean instructions return the answer in tail
+    position — and the others their value.  Declared before {!kind},
+    which shares seven constructor names: an [Api.Read] with no expected
+    type is the kind, so annotate where an op is meant
+    ([let op : Api.op = Api.Read c]). *)
+type op =
+  | Read of Cell.t
+  | Write of Cell.t * int
+  | Cas of Cell.t * int * int  (** cell, expected, new value; answers 1 iff swapped *)
+  | Fas of Cell.t * int
+  | Fas_open_unsafe of int * Cell.t * int
+      (** FAS that opens lock [id]'s sensitive window (the WR-Lock append,
+          Algorithm 2 line "FAS(tail, mine\[i\])"). *)
+  | Fas_persist of Cell.t * int * Cell.t
+      (** Atomic FAS-and-persist-result, the stronger instruction used by the
+          [kport] substitution (DESIGN.md S1). *)
+  | Write_close_unsafe of int * Cell.t * int
+      (** Write that closes lock [id]'s sensitive window (persisting the FAS
+          result into [pred]). *)
+  | Faa of Cell.t * int
+  | Spin of Cell.t * cond
+  | Spin_abortable of Cell.t * cond
+      (** Like [Spin] but also completes — with the condition possibly
+          still false — when the spinning process carries a pending abort
+          signal.  Follow with {!poll_abort} to tell the two wake reasons
+          apart. *)
+  | Note of Event.note
+  | Get_done
+  | Get_step
+  | Poll_abort  (** answers 1 iff an abort signal is pending *)
+  | Yield
+
 (** Static classification of instructions, visible to crash plans and
     tracing. *)
 type kind = Read | Write | Cas | Fas | Faa | Spin | Note | Nop
 
 val pp_kind : kind Fmt.t
-
-(** The engine-side view of a suspended instruction. *)
-type _ view =
-  | V_read : Cell.t -> int view
-  | V_write : Cell.t * int -> unit view
-  | V_cas : Cell.t * int * int -> bool view
-  | V_fas : Cell.t * int -> int view
-  | V_fas_open_unsafe : int * Cell.t * int -> int view
-      (** FAS that opens lock [id]'s sensitive window (the WR-Lock append,
-          Algorithm 2 line "FAS(tail, mine\[i\])"). *)
-  | V_fas_persist : Cell.t * int * Cell.t -> unit view
-      (** Atomic FAS-and-persist-result, the stronger instruction used by the
-          [kport] substitution (DESIGN.md S1). *)
-  | V_write_close_unsafe : int * Cell.t * int -> unit view
-      (** Write that closes lock [id]'s sensitive window (persisting the FAS
-          result into [pred]). *)
-  | V_faa : Cell.t * int -> int view
-  | V_spin : Cell.t * cond -> unit view
-  | V_spin_abortable : Cell.t * cond -> unit view
-      (** Like [V_spin] but also completes — with the condition possibly
-          still false — when the spinning process carries a pending abort
-          signal.  Follow with {!poll_abort} to tell the two wake reasons
-          apart. *)
-  | V_note : Event.note -> unit view
-  | V_get_done : int view
-  | V_get_step : int view
-  | V_poll_abort : bool view
-  | V_yield : unit view
 
 exception Abort_signal
 (** Raised by abortable lock [acquire] code when it observes a pending
@@ -55,14 +63,14 @@ exception Abort_signal
     harness body, which then runs the lock's [try_abort] protocol.  Never
     raised by the engine itself. *)
 
-val kind_of_view : 'a view -> kind
+val kind_of_op : op -> kind
 
-val cell_of_view : 'a view -> Cell.t option
+val cell_of_op : op -> Cell.t option
 (** The cell the instruction touches (its primary cell for
-    [V_fas_persist]).  Returns the cell's own [some] field, so no option
+    [Fas_persist]).  Returns the cell's own [some] field, so no option
     is allocated. *)
 
-type _ Effect.t += Instr : 'a view -> 'a Effect.t
+type _ Effect.t += Instr : op -> int Effect.t
 (** The single effect simulated processes perform; handled by {!Engine}. *)
 
 (** {1 Instructions} *)

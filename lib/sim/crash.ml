@@ -3,13 +3,12 @@ type point = Before | After
 type decision = No_crash | Crash of point
 
 type op_info = {
-  pid : int;
-  step : int;
-  op_index : int;
-  kind : Api.kind;
-  cell : Cell.t option;
-  note : Event.note option;
-  unsafe_wrt : int list;
+  mutable pid : int;
+  mutable step : int;
+  mutable op_index : int;
+  mutable kind : Api.kind;
+  mutable op : Api.op;
+  mutable unsafe_wrt : int list;
 }
 
 (* How a plan's firing decisions relate to the schedule, for the explorer's
@@ -22,7 +21,12 @@ type op_info = {
    off. *)
 type por_class = Robust of int list | Sensitive
 
-let cell_name info = Option.map Cell.name info.cell
+let cell info = Api.cell_of_op info.op
+
+(* Allocates its [Some]; the plans below match [info.op] instead. *)
+let note info = match info.op with Api.Note n -> Some n | _ -> None
+
+let cell_name info = Option.map Cell.name (cell info)
 
 type t = {
   label : string;
@@ -104,13 +108,14 @@ let on_cell ~pid ~cell ~occurrence point =
   on_match
     ~label:(Printf.sprintf "on-cell(p%d,%s,%d)" pid cell occurrence)
     ~pid ~occurrence ~point
-    (fun info -> match info.cell with Some c -> String.equal (Cell.name c) cell | None -> false)
+    (fun info ->
+      match Api.cell_of_op info.op with Some c -> String.equal (Cell.name c) cell | None -> false)
 
 let on_custom_note ~pid ~tag ~occurrence point =
   on_match
     ~label:(Printf.sprintf "on-note(p%d,%s,%d)" pid tag occurrence)
     ~pid ~occurrence ~point
-    (fun info -> match info.note with Some (Event.Custom s) -> s = tag | _ -> false)
+    (fun info -> match info.op with Api.Note (Event.Custom s) -> s = tag | _ -> false)
 
 let random ~seed ~rate ~max_crashes ?pids () =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Crash.random: rate must be in [0, 1]";
@@ -144,7 +149,7 @@ let fas_gap ~seed ~rate ~max_crashes ?(cell_suffix = "filter.tail") () =
     on_op =
       (fun info ->
         (* Only FAS targets are rendered: the kind test comes first. *)
-        match info.cell with
+        match cell info with
         | Some cell
           when !budget > 0 && info.kind = Api.Fas
                && String.ends_with ~suffix:cell_suffix (Cell.name cell)
@@ -181,8 +186,8 @@ let every_nth_passage ~pid ~period ~max_crashes =
     label = Printf.sprintf "every-nth-passage(p%d,%d)" pid period;
     on_op =
       (fun info ->
-        match info.note with
-        | Some (Event.Seg Event.Req_begin) when info.pid = pid && !budget > 0 ->
+        match info.op with
+        | Api.Note (Event.Seg Event.Req_begin) when info.pid = pid && !budget > 0 ->
             let k = !passages in
             incr passages;
             if k mod period = period - 1 then begin
@@ -210,10 +215,10 @@ let target_holder ?lock ~seed ~rate ~max_crashes () =
            valid strike point.  A fresh [Ncs_begin]/[Req_begin] clears the
            mark: a crash (ours or another plan's) restarts the body, and the
            stale span must not leak into the victim's NCS. *)
-        (match info.note with
-        | Some (Event.Lock_enter id) when matches id -> Hashtbl.replace inside info.pid ()
-        | Some (Event.Lock_released id) when matches id -> Hashtbl.remove inside info.pid
-        | Some (Event.Seg (Event.Ncs_begin | Event.Req_begin)) -> Hashtbl.remove inside info.pid
+        (match info.op with
+        | Api.Note (Event.Lock_enter id) when matches id -> Hashtbl.replace inside info.pid ()
+        | Api.Note (Event.Lock_released id) when matches id -> Hashtbl.remove inside info.pid
+        | Api.Note (Event.Seg (Event.Ncs_begin | Event.Req_begin)) -> Hashtbl.remove inside info.pid
         | _ -> ());
         if !budget > 0 && Hashtbl.mem inside info.pid && Random.State.float rng 1.0 < rate
         then begin
@@ -256,8 +261,8 @@ let repeat_offender ~victim ~gap ~times =
       (fun info ->
         if info.pid <> victim || !budget <= 0 then No_crash
         else begin
-          (match info.note with
-          | Some (Event.Seg Event.Req_begin) when !countdown < 0 -> countdown := gap
+          (match info.op with
+          | Api.Note (Event.Seg Event.Req_begin) when !countdown < 0 -> countdown := gap
           | _ -> ());
           if !countdown = 0 then begin
             (* Re-arm immediately: the next strike lands [gap] victim

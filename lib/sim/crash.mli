@@ -21,25 +21,28 @@ type point = Before | After
 
 type decision = No_crash | Crash of point
 
-(** What a plan sees about the instruction about to execute. *)
+(** What a plan sees about the instruction about to execute.
+
+    The engine hands plans and [on_op] hooks one record per run,
+    overwritten for every instruction: a record is valid during the call
+    only — copy the fields (or the record) to retain them. *)
 type op_info = {
-  pid : int;
-  step : int;  (** global step counter *)
-  op_index : int;
+  mutable pid : int;
+  mutable step : int;  (** global step counter *)
+  mutable op_index : int;
       (** per-process instruction counter, counted from the start of the
           run.  The counter is {e not} reset by a crash: it keeps
           incrementing across restarts, so the [nth] of {!at_op} addresses
           one absolute point in the process's whole execution, restarts
           included (pinned by the "op_index continues across restarts"
           test in [test/test_sim.ml]). *)
-  kind : Api.kind;
-  cell : Cell.t option;
-      (** the touched cell, if any.  Its name is not rendered for the
-          consult: a plan that matches on names calls {!cell_name} (or
-          {!Cell.name}) only on the ops it tests, so the consult path of a
-          run formats no name nobody reads. *)
-  note : Event.note option;  (** payload when [kind = Note] *)
-  unsafe_wrt : int list;
+  mutable kind : Api.kind;  (** [Api.kind_of_op op] *)
+  mutable op : Api.op;
+      (** the instruction itself; {!cell} and {!note} read it.  The engine
+          stores the op the process performed rather than fields derived
+          from it: one pointer the instruction just allocated is the
+          cheapest write into a long-lived record. *)
+  mutable unsafe_wrt : int list;
       (** ids of the locks whose sensitive window ({!Api.fas_open_unsafe} …
           {!Api.write_close_unsafe}) the process has open as this
           instruction is about to execute — the engine's view {e before}
@@ -47,6 +50,15 @@ type op_info = {
           process right now is an unsafe failure" (§2.2), which is what an
           execution-aware adversary needs to aim at the window. *)
 }
+
+val cell : op_info -> Cell.t option
+(** The touched cell, if any ({!Api.cell_of_op}).  Its name is not
+    rendered for the consult: a plan that matches on names calls
+    {!cell_name} (or {!Cell.name}) only on the ops it tests, so the
+    consult path of a run formats no name nobody reads. *)
+
+val note : op_info -> Event.note option
+(** The payload of a [Note] instruction. *)
 
 val cell_name : op_info -> string option
 (** The name of the touched cell, rendered on demand ({!Cell.name}). *)

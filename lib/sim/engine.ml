@@ -73,9 +73,10 @@ type result = {
 }
 
 (* The suspended instruction is the process state: the effect handler's
-   answer type is [pstate] itself, so a suspension is stored as returned. *)
+   answer type is [pstate] itself, so a suspension is stored as returned.
+   Every instruction answers an int (see {!Api.op}). *)
 type parked = {
-  pk : (unit, pstate) Effect.Deep.continuation;
+  pk : (int, pstate) Effect.Deep.continuation;
   pcell : Cell.t;
   pcond : Api.cond;
   pabort : bool;  (* abortable park: an abort signal also wakes it *)
@@ -83,7 +84,7 @@ type parked = {
 
 and pstate =
   | Start
-  | Ready : 'a Api.view * ('a, pstate) Effect.Deep.continuation -> pstate
+  | Ready of Api.op * (int, pstate) Effect.Deep.continuation
   | Parked of parked
   | Woken of parked
   | Halted
@@ -95,9 +96,9 @@ and pstate =
    suspended instruction, or the crash that discontinued it.  Replaying the
    log against fresh fibers ("fast-forward") rebuilds every continuation at
    the checkpointed suspension point without touching the store, the
-   scheduler or the crash plan.  [jops] keeps the {!Crash.op_info} stream
-   so a fresh (stateful) crash plan can be wound forward to the same
-   internal state. *)
+   scheduler or the crash plan.  [jops] keeps a copy of every consult
+   record ({!Crash.op_info}) so a fresh (stateful) crash plan can be
+   wound forward to the same internal state. *)
 (* Journal entries are packed into an unboxed int [Vec.t], two slots per
    entry — header, then answer value — so live recording allocates nothing
    per step (amortized array growth aside) and fast-forward scans a flat
@@ -130,9 +131,11 @@ type t = {
   has_crash : bool;  (* crash != Crash.none: gates the per-step plan consults *)
   sink : Event.Sink.t;
   emit : bool;  (* [Event.Sink.wants sink], cached: gates event construction *)
-  consult_ops : bool;  (* build a [Crash.op_info] per instruction and consult
-                          the plans/hooks; off on the fast path, where only
-                          the op counter advances *)
+  consult_ops : bool;  (* fill [info] per instruction and consult the
+                          plans/hooks; off on the fast path, where only the
+                          op counter advances *)
+  info : Crash.op_info;  (* the consult record, overwritten per instruction *)
+  handler : (unit, pstate) Effect.Deep.handler;
   track_ans : bool;  (* fold answer-stream digests (journal or state keys) *)
   trace_ops : bool;
   max_steps : int;
@@ -191,7 +194,7 @@ type t = {
      read [Array.length runnable], so each ready-set size needs an
      exact-length buffer.  Lazily allocated, reused across steps. *)
   ready_bufs : int array array;
-  mutable last_rmr : int;  (* RMR cost of the last [apply_view] (scratch) *)
+  mutable last_rmr : int;  (* RMR cost of the last [apply] (scratch) *)
   rmr_by_kind : int array;  (* indexed by a dense Api.kind code *)
   mutable total_rmr : int;
   mutable system_crashes : int;
@@ -212,36 +215,42 @@ let default_on_crash ~pid:_ ~step:_ = ()
 
 let default_on_op (_ : Crash.op_info) = ()
 
-(* Suspensions for the argument-free instructions, built once: {!Api}
-   performs one shared effect value for each, so a step of one of them
-   allocates only the runtime's continuation and the [Ready] block. *)
-let suspend_yield =
-  Some (fun (k : (unit, pstate) Effect.Deep.continuation) -> Ready (Api.V_yield, k))
-
-let suspend_step =
-  Some (fun (k : (int, pstate) Effect.Deep.continuation) -> Ready (Api.V_get_step, k))
-
-let suspend_done =
-  Some (fun (k : (int, pstate) Effect.Deep.continuation) -> Ready (Api.V_get_done, k))
-
-let suspend_poll_abort =
-  Some (fun (k : (bool, pstate) Effect.Deep.continuation) -> Ready (Api.V_poll_abort, k))
-
 (* A body that returns, or dies of an injected crash, is [Halted]. *)
-let handler : (unit, pstate) Effect.Deep.handler =
+let retc () = Halted
+
+let exnc = function Crashed -> Halted | e -> raise e
+
+(* Suspensions for the argument-free instructions, built once.  Answering
+   them without touching [pending] keeps the pacing loops of open-loop
+   clients ([Api.step]/[Api.yield], most of their steps) clear of the
+   write barrier (about 4% of a paced open-loop probe's host time). *)
+let suspend_yield = Some (fun k -> Ready (Api.Yield, k))
+
+let suspend_step = Some (fun k -> Ready (Api.Get_step, k))
+
+let suspend_done = Some (fun k -> Ready (Api.Get_done, k))
+
+let suspend_poll_abort = Some (fun k -> Ready (Api.Poll_abort, k))
+
+(* One handler per engine: [effc] parks any other op in [pending] and
+   answers with the one suspension built here, so no instruction
+   allocates a closure or an option. *)
+let make_handler () : (unit, pstate) Effect.Deep.handler =
+  let pending = ref Api.Yield in
+  let suspend = Some (fun k -> Ready (!pending, k)) in
   {
-    retc = (fun () -> Halted);
-    exnc = (function Crashed -> Halted | e -> raise e);
+    retc;
+    exnc;
     effc =
-      (fun (type c) (eff : c Effect.t) :
-           ((c, pstate) Effect.Deep.continuation -> pstate) option ->
+      (fun (type c) (eff : c Effect.t) : ((c, pstate) Effect.Deep.continuation -> pstate) option ->
         match eff with
-        | Api.Instr Api.V_yield -> suspend_yield
-        | Api.Instr Api.V_get_step -> suspend_step
-        | Api.Instr Api.V_get_done -> suspend_done
-        | Api.Instr Api.V_poll_abort -> suspend_poll_abort
-        | Api.Instr view ->
-            Some (fun (k : (c, pstate) Effect.Deep.continuation) -> Ready (view, k))
+        | Api.Instr Api.Yield -> suspend_yield
+        | Api.Instr Api.Get_step -> suspend_step
+        | Api.Instr Api.Get_done -> suspend_done
+        | Api.Instr Api.Poll_abort -> suspend_poll_abort
+        | Api.Instr op ->
+            pending := op;
+            suspend
         | _ -> None);
   }
 
@@ -256,100 +265,18 @@ let jpush eng header value =
     | None -> ()
   end
 
-(* The answer a resolved instruction fed its fiber, packed for the journal.
-   GADT refinement is per-branch, so same-typed constructors cannot share
-   an or-pattern. *)
-let ans_tag : type a. a Api.view -> int =
- fun view ->
-  match view with
-  | Api.V_read _ -> jt_ans_int
-  | Api.V_fas _ -> jt_ans_int
-  | Api.V_fas_open_unsafe _ -> jt_ans_int
-  | Api.V_faa _ -> jt_ans_int
-  | Api.V_get_done -> jt_ans_int
-  | Api.V_get_step -> jt_ans_int
-  | Api.V_cas _ -> jt_ans_bool
-  | Api.V_poll_abort -> jt_ans_bool
-  | Api.V_write _ -> jt_ans_unit
-  | Api.V_write_close_unsafe _ -> jt_ans_unit
-  | Api.V_fas_persist _ -> jt_ans_unit
-  | Api.V_note _ -> jt_ans_unit
-  | Api.V_yield -> jt_ans_unit
-  | Api.V_spin _ -> jt_ans_unit
-  | Api.V_spin_abortable _ -> jt_ans_unit
-
-let ans_value : type a. a Api.view -> a -> int =
- fun view res ->
-  match view with
-  | Api.V_read _ -> res
-  | Api.V_fas _ -> res
-  | Api.V_fas_open_unsafe _ -> res
-  | Api.V_faa _ -> res
-  | Api.V_get_done -> res
-  | Api.V_get_step -> res
-  | Api.V_cas _ -> Bool.to_int res
-  | Api.V_poll_abort -> Bool.to_int res
-  | Api.V_write _ -> 0
-  | Api.V_write_close_unsafe _ -> 0
-  | Api.V_fas_persist _ -> 0
-  | Api.V_note _ -> 0
-  | Api.V_yield -> 0
-  | Api.V_spin _ -> 0
-  | Api.V_spin_abortable _ -> 0
+(* The class (unit, int or bool) the journal tags an instruction's answer
+   with.  The answer digests and state keys fold the tag in, and
+   fast-forward checks it before resuming a fiber. *)
+let ans_tag : Api.op -> int = function
+  | Api.Read _ | Api.Fas _ | Api.Fas_open_unsafe _ | Api.Faa _ | Api.Get_done | Api.Get_step ->
+      jt_ans_int
+  | Api.Cas _ | Api.Poll_abort -> jt_ans_bool
+  | Api.Write _ | Api.Write_close_unsafe _ | Api.Fas_persist _ | Api.Note _ | Api.Yield
+  | Api.Spin _ | Api.Spin_abortable _ ->
+      jt_ans_unit
 
 let diverged what = failwith ("Engine: journal replay divergence (" ^ what ^ ")")
-
-let continue_ans :
-    type a. a Api.view -> (a, pstate) Effect.Deep.continuation -> int -> int -> pstate =
- fun view k tag value ->
-  (* No helper closures here: this runs once per journal entry and closure
-     allocation on that path is measurable. *)
-  match view with
-  | Api.V_read _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_fas _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_fas_open_unsafe _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_faa _ ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_get_done ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_get_step ->
-      if tag <> jt_ans_int then diverged "expected an int answer";
-      Effect.Deep.continue k value
-  | Api.V_cas _ ->
-      if tag <> jt_ans_bool then diverged "expected a bool answer";
-      Effect.Deep.continue k (value <> 0)
-  | Api.V_poll_abort ->
-      if tag <> jt_ans_bool then diverged "expected a bool answer";
-      Effect.Deep.continue k (value <> 0)
-  | Api.V_write _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_write_close_unsafe _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_fas_persist _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_note _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_yield ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_spin _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
-  | Api.V_spin_abortable _ ->
-      if tag <> jt_ans_unit then diverged "expected a unit answer";
-      Effect.Deep.continue k ()
 
 let kind_code : Api.kind -> int = function
   | Api.Read -> 0
@@ -519,58 +446,63 @@ let open_unsafe eng pid lock =
 let close_unsafe eng pid lock =
   eng.unsafe_open.(pid) <- List.filter (fun x -> x <> lock) eng.unsafe_open.(pid)
 
-(* Apply a non-spin instruction to shared memory, returning its bare result
+(* Apply a non-spin instruction to shared memory, returning its answer
    and leaving the RMR cost in [eng.last_rmr] — a tuple here would be one
    allocation per instruction.  Window bookkeeping happens here so that a
    crash injected after the instruction sees the correct unsafe state. *)
-let apply_view : type a. t -> int -> a Api.view -> a =
- fun eng pid view ->
+let apply eng pid (op : Api.op) =
   let mem = eng.mem in
-  match view with
-  | Api.V_read c ->
+  match op with
+  | Api.Read c ->
       let v = Memory.read_u mem ~pid c in
       eng.last_rmr <- Memory.last_cost mem;
       v
-  | Api.V_write (c, v) -> eng.last_rmr <- Memory.write mem ~pid c v
-  | Api.V_cas (c, expect, value) ->
+  | Api.Write (c, v) ->
+      eng.last_rmr <- Memory.write mem ~pid c v;
+      0
+  | Api.Cas (c, expect, value) ->
       let ok = Memory.cas_u mem ~pid c ~expect ~value in
       eng.last_rmr <- Memory.last_cost mem;
-      ok
-  | Api.V_fas (c, v) ->
+      Bool.to_int ok
+  | Api.Fas (c, v) ->
       let old = Memory.fas_u mem ~pid c v in
       eng.last_rmr <- Memory.last_cost mem;
       old
-  | Api.V_fas_open_unsafe (lock, c, v) ->
+  | Api.Fas_open_unsafe (lock, c, v) ->
       let old = Memory.fas_u mem ~pid c v in
       eng.last_rmr <- Memory.last_cost mem;
       open_unsafe eng pid lock;
       old
-  | Api.V_write_close_unsafe (lock, c, v) ->
+  | Api.Write_close_unsafe (lock, c, v) ->
       eng.last_rmr <- Memory.write mem ~pid c v;
-      close_unsafe eng pid lock
-  | Api.V_fas_persist (c, v, dst) ->
+      close_unsafe eng pid lock;
+      0
+  | Api.Fas_persist (c, v, dst) ->
       let old = Memory.fas_u mem ~pid c v in
       let m1 = Memory.last_cost mem in
-      eng.last_rmr <- m1 + Memory.write mem ~pid dst old
-  | Api.V_faa (c, v) ->
+      eng.last_rmr <- m1 + Memory.write mem ~pid dst old;
+      0
+  | Api.Faa (c, v) ->
       let old = Memory.faa_u mem ~pid c v in
       eng.last_rmr <- Memory.last_cost mem;
       old
-  | Api.V_note n ->
+  | Api.Note n ->
       eng.last_rmr <- 0;
-      handle_note eng pid n
-  | Api.V_get_done ->
+      handle_note eng pid n;
+      0
+  | Api.Get_done ->
       eng.last_rmr <- 0;
       eng.completed.(pid)
-  | Api.V_get_step ->
+  | Api.Get_step ->
       eng.last_rmr <- 0;
       eng.step
-  | Api.V_poll_abort ->
+  | Api.Poll_abort ->
       eng.last_rmr <- 0;
-      eng.ab_flag.(pid)
-  | Api.V_yield -> eng.last_rmr <- 0
-  | Api.V_spin _ -> assert false (* handled by [exec] *)
-  | Api.V_spin_abortable _ -> assert false (* handled by [exec] *)
+      Bool.to_int eng.ab_flag.(pid)
+  | Api.Yield ->
+      eng.last_rmr <- 0;
+      0
+  | Api.Spin _ | Api.Spin_abortable _ -> assert false (* handled by [exec] *)
 
 let wake_parked eng (c : Cell.t) =
   if Hashtbl.mem eng.parked_cells c.id then begin
@@ -585,28 +517,25 @@ let wake_parked eng (c : Cell.t) =
     if not !still_parked then Hashtbl.remove eng.parked_cells c.id
   end
 
-(* Wake waiters after a mutating instruction.  Direct GADT dispatch instead
-   of [cell_of_view]/[mutates]: the option box would be one allocation per
-   instruction.  [V_fas_persist] wakes on its primary cell only, matching
-   the [cell_of_view]-based behaviour this replaces. *)
-let wake_after : type a. t -> a Api.view -> unit =
- fun eng view ->
-  match view with
-  | Api.V_write (c, _) -> wake_parked eng c
-  | Api.V_cas (c, _, _) -> wake_parked eng c
-  | Api.V_fas (c, _) -> wake_parked eng c
-  | Api.V_fas_open_unsafe (_, c, _) -> wake_parked eng c
-  | Api.V_write_close_unsafe (_, c, _) -> wake_parked eng c
-  | Api.V_fas_persist (c, _, _) -> wake_parked eng c
-  | Api.V_faa (c, _) -> wake_parked eng c
-  | Api.V_read _ | Api.V_spin _ | Api.V_spin_abortable _ | Api.V_note _ | Api.V_get_done
-  | Api.V_get_step | Api.V_poll_abort | Api.V_yield ->
+(* Wake waiters after a mutating instruction; reads and spins touch a cell
+   but wake nobody.  [Fas_persist] wakes on its primary cell only. *)
+let wake_after eng (op : Api.op) =
+  match op with
+  | Api.Write (c, _)
+  | Api.Cas (c, _, _)
+  | Api.Fas (c, _)
+  | Api.Fas_open_unsafe (_, c, _)
+  | Api.Write_close_unsafe (_, c, _)
+  | Api.Fas_persist (c, _, _)
+  | Api.Faa (c, _) ->
+      wake_parked eng c
+  | Api.Read _ | Api.Spin _ | Api.Spin_abortable _ | Api.Note _ | Api.Get_done | Api.Get_step
+  | Api.Poll_abort | Api.Yield ->
       ()
 
 (* Record an *applied* instruction together with the cell contents after it
    (for reads, the value read) — the data the replay checker feeds on. *)
-let record_op : type a. t -> int -> a Api.view -> unit =
- fun eng pid view ->
+let record_op eng pid (op : Api.op) =
   if eng.trace_ops then begin
     let emit ~kind (cell : Cell.t option) =
       record_event eng
@@ -619,11 +548,11 @@ let record_op : type a. t -> int -> a Api.view -> unit =
              value = (match cell with Some c -> Memory.peek eng.mem c | None -> 0);
            })
     in
-    emit ~kind:(Fmt.str "%a" Api.pp_kind (Api.kind_of_view view)) (Api.cell_of_view view);
+    emit ~kind:(Fmt.str "%a" Api.pp_kind (Api.kind_of_op op)) (Api.cell_of_op op);
     (* fas_persist atomically touches a second cell; give it its own trace
        entry so replay sees every mutation. *)
-    match view with
-    | Api.V_fas_persist (_, _, dst) -> emit ~kind:"write" (Some dst)
+    match op with
+    | Api.Fas_persist (_, _, dst) -> emit ~kind:"write" (Some dst)
     | _ -> ()
   end
 
@@ -665,7 +594,7 @@ let do_crash eng pid (kont : (unit -> unit) option) =
   eng.states.(pid) <- Start;
   eng.on_crash ~pid ~step:eng.step
 
-let discontinue_of (type a) (k : (a, pstate) Effect.Deep.continuation) () =
+let discontinue_of k () =
   match Effect.Deep.discontinue k Crashed with
   | Halted -> ()
   | Start | Ready _ | Parked _ | Woken _ ->
@@ -690,34 +619,37 @@ let system_crash_now eng =
     crash_now eng pid
   done
 
-let op_info : type a. t -> int -> a Api.view -> Crash.op_info =
- fun eng pid view ->
-  let info =
-    {
-      Crash.pid;
-      step = eng.step;
-      op_index = eng.op_index.(pid);
-      kind = Api.kind_of_view view;
-      cell = Api.cell_of_view view;
-      note = (match view with Api.V_note n -> Some n | _ -> None);
-      unsafe_wrt = eng.unsafe_open.(pid);
-    }
-  in
+(* Overwrite the engine's one consult record for [pid]'s instruction [op]
+   and show it to the hook.  The journal keeps a copy, the record itself
+   being rewritten at the next instruction.  Every field but [op] and
+   [unsafe_wrt] is an int, and [op] was allocated by the instruction, so
+   the writes are plain stores or the write barrier's cheapest case; the
+   window list rarely changes and is written only when it does. *)
+let consult_info eng pid (op : Api.op) =
+  let info = eng.info in
+  info.pid <- pid;
+  info.step <- eng.step;
+  info.op_index <- eng.op_index.(pid);
+  info.kind <- Api.kind_of_op op;
+  info.op <- op;
+  let unsafe = eng.unsafe_open.(pid) in
+  if info.unsafe_wrt != unsafe then info.unsafe_wrt <- unsafe;
   eng.op_index.(pid) <- eng.op_index.(pid) + 1;
   eng.on_op info;
-  (match eng.journal with Some j when eng.log_ops -> Vec.push j.jops info | Some _ | None -> ());
+  (match eng.journal with
+  | Some j when eng.log_ops -> Vec.push j.jops { info with pid }
+  | Some _ | None -> ());
   info
 
 let park eng pid (p : parked) =
   eng.states.(pid) <- Parked p;
   Hashtbl.replace eng.parked_cells p.pcell.Cell.id ()
 
-(* Execute [pid]'s pending instruction [view], suspended at [k]. *)
-let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuation -> unit =
- fun eng pid view k ->
+(* Execute [pid]'s pending instruction [op], suspended at [k]. *)
+let exec eng pid op k =
   let decision =
     if eng.consult_ops then begin
-      let info = op_info eng pid view in
+      let info = consult_info eng pid op in
       (* The abort consult precedes the crash consult, so a signal fired
          on an op the crash plan then suppresses still counts as
          delivered — and [replay_plan] winds both plans in the same
@@ -727,7 +659,7 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
       Crash.on_op eng.crash info
     end
     else begin
-      (* Fast path: no plan and no hook reads the [op_info], so only the
+      (* Fast path: no plan and no hook reads the consult record, so only the
          per-process op counter (part of the state key) advances. *)
       eng.op_index.(pid) <- eng.op_index.(pid) + 1;
       Crash.No_crash
@@ -737,35 +669,35 @@ let exec : type a. t -> int -> a Api.view -> (a, pstate) Effect.Deep.continuatio
   | Crash Before -> do_crash eng pid (Some (discontinue_of k))
   | (No_crash | Crash After) as decision -> (
       let crash_after = match decision with Crash.Crash _ -> true | Crash.No_crash -> false in
-      match view with
-      | Api.V_spin (cell, cond) ->
+      match op with
+      | Api.Spin (cell, cond) ->
           let v = Memory.read_u eng.mem ~pid cell in
           charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-          record_op eng pid view;
+          record_op eng pid op;
           if crash_after then do_crash eng pid (Some (discontinue_of k))
           else if Api.cond_holds cond v then begin
             jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            eng.states.(pid) <- Effect.Deep.continue k ()
+            eng.states.(pid) <- Effect.Deep.continue k 0
           end
           else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = false }
-      | Api.V_spin_abortable (cell, cond) ->
+      | Api.Spin_abortable (cell, cond) ->
           let v = Memory.read_u eng.mem ~pid cell in
           charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
-          record_op eng pid view;
+          record_op eng pid op;
           if crash_after then do_crash eng pid (Some (discontinue_of k))
           else if Api.cond_holds cond v || eng.ab_flag.(pid) then begin
             jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-            eng.states.(pid) <- Effect.Deep.continue k ()
+            eng.states.(pid) <- Effect.Deep.continue k 0
           end
           else park eng pid { pk = k; pcell = cell; pcond = cond; pabort = true }
       | _ ->
-          let res = apply_view eng pid view in
-          charge eng pid ~kind:(Api.kind_of_view view) eng.last_rmr;
-          record_op eng pid view;
-          wake_after eng view;
+          let res = apply eng pid op in
+          charge eng pid ~kind:(Api.kind_of_op op) eng.last_rmr;
+          record_op eng pid op;
+          wake_after eng op;
           if crash_after then do_crash eng pid (Some (discontinue_of k))
           else begin
-            jpush eng (ans_tag view lor (pid lsl 3)) (ans_value view res);
+            jpush eng (ans_tag op lor (pid lsl 3)) res;
             eng.states.(pid) <- Effect.Deep.continue k res
           end)
 
@@ -777,14 +709,14 @@ let step_process eng pid =
   | Start ->
       let body = eng.body in
       jpush eng (jt_dispatch lor (pid lsl 3)) 0;
-      eng.states.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () handler
-  | Ready (view, k) -> exec eng pid view k
+      eng.states.(pid) <- Effect.Deep.match_with (fun () -> body ~pid) () eng.handler
+  | Ready (op, k) -> exec eng pid op k
   | Woken p ->
       let v = Memory.read_u eng.mem ~pid p.pcell in
       charge eng pid ~kind:Api.Spin (Memory.last_cost eng.mem);
       if Api.cond_holds p.pcond v || (p.pabort && eng.ab_flag.(pid)) then begin
         jpush eng (jt_ans_unit lor (pid lsl 3)) 0;
-        eng.states.(pid) <- Effect.Deep.continue p.pk ()
+        eng.states.(pid) <- Effect.Deep.continue p.pk 0
       end
       else park eng pid p
   | Parked _ | Halted -> assert false
@@ -793,11 +725,11 @@ let step_process eng pid =
    the explorer's partial-order reduction.  A [Start] dispatch only runs the
    body to its first suspension (pure local computation) and a [Woken]
    dispatch only re-reads the spin cell; neither consults the crash plan
-   (no [op_info]), so neither is crashy whatever the plan. *)
+   (no consult record), so neither is crashy whatever the plan. *)
 let pending_footprint eng pid =
   match eng.states.(pid) with
   | Start -> Footprint.local ~pid
-  | Ready (view, _) -> Footprint.of_view ~pid ~crashy:(eng.footprint_crashy pid) view
+  | Ready (op, _) -> Footprint.of_op ~pid ~crashy:(eng.footprint_crashy pid) op
   | Woken p -> Footprint.waiting ~pid p.pcell
   | Parked _ | Halted -> assert false
 
@@ -1040,10 +972,11 @@ let release_fibers eng =
 
 (* Domain-safety audit (parallel explorer): [run] and [run_resumable] are
    re-entrant.  Every piece of mutable state below — the store, the engine
-   record, the fiber continuations, the per-process arrays — is created
-   inside the call and never escapes it, with one exception: a
-   checkpoint's [jops] entries carry the run's cells, and a snapshot may
-   be resumed on another domain.  The only mutable part of a cell is its
+   record, its handler and consult record, the fiber continuations, the
+   per-process arrays — is created inside the call and never escapes it,
+   with one exception: a checkpoint's [jops] entries (copies of the
+   consult record) carry the run's ops and cells, and a snapshot may be
+   resumed on another domain.  The only mutable part of a cell is its
    name memo ({!Cell.name}), which two domains may race to fill; both write
    equal strings, so either read is the name.  The module has no top-level
    mutable binding, and neither have Memory, Cell, Api, Crash and Vec.
@@ -1079,6 +1012,9 @@ let create ~sink ~consult_ops ~track_ans ~trace_ops ~max_steps ~stall_window ~on
   let nlocks = Vec.length ctx.lock_names in
   let eng =
     {
+      info =
+        { Crash.pid = 0; step = 0; op_index = 0; kind = Api.Nop; op = Api.Yield; unsafe_wrt = [] };
+      handler = make_handler ();
       mem;
       n;
       sched;
@@ -1390,7 +1326,8 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
     i := !i + 2;
     let pid = header lsr 3 in
     let tag = header land 7 in
-    if tag = jt_dispatch then settle pid (Effect.Deep.match_with (fun () -> body ~pid) () handler)
+    if tag = jt_dispatch then
+      settle pid (Effect.Deep.match_with (fun () -> body ~pid) () eng.handler)
     else if tag = jt_crash then begin
       match pending.(pid) with
       | Ready (_, k) ->
@@ -1401,7 +1338,9 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
     end
     else begin
       match pending.(pid) with
-      | Ready (view, k) -> settle pid (continue_ans view k tag value)
+      | Ready (op, k) ->
+          if tag <> ans_tag op then diverged "answer of another class";
+          settle pid (Effect.Deep.continue k value)
       | Start | Parked _ | Woken _ | Halted -> diverged "answer with no pending instruction"
     end
   done;
@@ -1421,9 +1360,9 @@ let fast_forward eng (journal : journal) jlen (tags : ptag array) =
     | (T_parked | T_woken) as tag -> (
         let resume p = if tag = T_parked then park eng pid p else eng.states.(pid) <- Woken p in
         match pending.(pid) with
-        | Ready (Api.V_spin (cell, cond), k) ->
+        | Ready (Api.Spin (cell, cond), k) ->
             resume { pk = k; pcell = cell; pcond = cond; pabort = false }
-        | Ready (Api.V_spin_abortable (cell, cond), k) ->
+        | Ready (Api.Spin_abortable (cell, cond), k) ->
             resume { pk = k; pcell = cell; pcond = cond; pabort = true }
         | Ready _ -> diverged "parked process not pending on a spin"
         | Start | Parked _ | Woken _ | Halted ->

@@ -76,32 +76,31 @@ let of_note ~pid ~crashy (n : Event.note) =
   | Event.Level _ | Event.Path _ | Event.Custom _ | Event.Abort_signal ->
       make ~pid ~crashy cls_local code_none
 
-let of_view : type a. pid:int -> crashy:bool -> a Api.view -> t =
- fun ~pid ~crashy view ->
-  match view with
-  | Api.V_read c -> make ~pid ~crashy cls_read (code_cell c.Cell.id)
-  | Api.V_write (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_cas (c, _, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_fas (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_fas_open_unsafe (_, c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_write_close_unsafe (_, c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
+let of_op ~pid ~crashy (op : Api.op) =
+  match op with
+  | Api.Read c -> make ~pid ~crashy cls_read (code_cell c.Cell.id)
+  (* Spins park and their writers unpark: order against any access to the
+     cell matters, so the whole wait protocol is write-class like the
+     mutating instructions. *)
+  | Api.Write (c, _)
+  | Api.Cas (c, _, _)
+  | Api.Fas (c, _)
+  | Api.Fas_open_unsafe (_, c, _)
+  | Api.Write_close_unsafe (_, c, _)
+  | Api.Faa (c, _)
+  | Api.Spin (c, _)
+  | Api.Spin_abortable (c, _) ->
+      make ~pid ~crashy cls_write (code_cell c.Cell.id)
   (* Touches two cells atomically; a single-location footprint cannot
      express that, so it conflicts with everything. *)
-  | Api.V_fas_persist _ -> make ~pid ~crashy cls_global code_none
-  | Api.V_faa (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  (* Spins park and their writers unpark: order against any access to the
-     cell matters, so the whole wait protocol is write-class. *)
-  | Api.V_spin (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_spin_abortable (c, _) -> make ~pid ~crashy cls_write (code_cell c.Cell.id)
-  | Api.V_note n -> of_note ~pid ~crashy n
-  | Api.V_get_done -> make ~pid ~crashy cls_local code_none
-  (* Reads the global step counter — excluded from state keys and robust
-     checks like latencies, so local for reduction purposes. *)
-  | Api.V_get_step -> make ~pid ~crashy cls_local code_none
-  (* Reads the engine's abort flag, which only abort decisions (covered by
-     the Sensitive POR downgrade) and the process's own protocol move. *)
-  | Api.V_poll_abort -> make ~pid ~crashy cls_local code_none
-  | Api.V_yield -> make ~pid ~crashy cls_local code_none
+  | Api.Fas_persist _ -> make ~pid ~crashy cls_global code_none
+  | Api.Note n -> of_note ~pid ~crashy n
+  (* [Get_step] reads the global step counter — excluded from state keys
+     and robust checks like latencies, so local for reduction purposes.
+     [Poll_abort] reads the engine's abort flag, which only abort
+     decisions (covered by the Sensitive POR downgrade) and the process's
+     own protocol move. *)
+  | Api.Get_done | Api.Get_step | Api.Poll_abort | Api.Yield -> make ~pid ~crashy cls_local code_none
 
 (* Crash teardown (close the CS, drop held locks, forget the cache) commutes
    with other processes' plain memory accesses but not with anything that

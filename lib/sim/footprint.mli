@@ -18,7 +18,7 @@ val waiting : pid:int -> Cell.t -> t
     class — parking and unparking do not commute with accesses to the
     cell). *)
 
-val of_view : pid:int -> crashy:bool -> 'a Api.view -> t
+val of_op : pid:int -> crashy:bool -> Api.op -> t
 (** Footprint of a suspended operation.  [crashy] marks steps of processes
     the crash plan may strike: such a step may additionally run crash
     teardown (closing the CS, releasing held locks), which conflicts with

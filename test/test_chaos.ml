@@ -17,9 +17,9 @@ let cb = Alcotest.bool
 let ci = Alcotest.int
 let check = Alcotest.check
 
-let info ?(pid = 0) ?(step = 0) ?(op_index = 0) ?(kind = Api.Read) ?cell ?note
-    ?(unsafe_wrt = []) () =
-  { Crash.pid; step; op_index; kind; cell; note; unsafe_wrt }
+let info ?(pid = 0) ?(step = 0) ?(op_index = 0) ?(kind = Api.Read) ?note ?(unsafe_wrt = []) () =
+  let op : Api.op = match note with Some n -> Api.Note n | None -> Api.Yield in
+  { Crash.pid; step; op_index; kind; op; unsafe_wrt }
 
 let is_crash = function Crash.Crash _ -> true | Crash.No_crash -> false
 

@@ -233,14 +233,18 @@ let test_open_loop_pacing () =
 (* Dispatch allocation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor words per engine step of a one-process `Fast run whose body
-   repeats [instr].  Two run lengths are differenced so the run's set-up
-   cancels; the random scheduler's pick allocates nothing, so what is left
-   is the dispatch of one instruction. *)
-let words_per_step instr =
+(* Minor words per engine step of a one-process run (`Fast unless a crash
+   plan is given) whose body repeats [instr].  Two run lengths are
+   differenced so the run's set-up cancels; the random scheduler's pick
+   allocates nothing, so what is left is the dispatch of one instruction
+   (and its crash consult, under a plan). *)
+let words_per_step ?crash instr =
   let measure iters =
     let run () =
-      Engine.run ~mode:`Fast ~n:1 ~model:Memory.CC ~sched:(Sched.random ~seed:1) ~crash:Crash.none
+      let mode, crash =
+        match crash with Some plan -> (`Auto, plan ()) | None -> (`Fast, Crash.none)
+      in
+      Engine.run ~mode ~n:1 ~model:Memory.CC ~sched:(Sched.random ~seed:1) ~crash
         ~setup:(fun ctx -> Memory.alloc (Engine.Ctx.memory ctx) ~name:"c" 0)
         ~body:(fun c ~pid:_ ->
           for _ = 1 to iters do
@@ -256,9 +260,10 @@ let words_per_step instr =
   let w1, s1 = measure 1_000 and w2, s2 = measure 21_000 in
   (w2 -. w1) /. float_of_int (s2 - s1)
 
-(* Ceilings with headroom over the measured 5 and 16 words (OCaml 5.1), so
-   they hold across compilers: a constant instruction allocates only the
-   runtime's continuation and the [Ready] state block. *)
+(* Ceilings with headroom over the measured words (OCaml 5.1), so they
+   hold across compilers: a constant instruction allocates only the
+   runtime's continuation and the [Ready] state block (5 words); any other
+   adds its [Api.op] (2-4 words) inside the [Instr] effect (3 words). *)
 let test_constant_instr_alloc () =
   let w = words_per_step (fun _ -> Api.yield ()) in
   check cb (Printf.sprintf "yield: %.1f words/step <= 8" w) true (w <= 8.0);
@@ -269,7 +274,28 @@ let test_constant_instr_alloc () =
 
 let test_read_alloc () =
   let w = words_per_step (fun c -> ignore (Api.read c)) in
-  check cb (Printf.sprintf "read: %.1f words/step <= 17" w) true (w <= 17.0)
+  check cb (Printf.sprintf "read: %.1f words/step <= 11" w) true (w <= 11.0)
+
+(* Measured 11, 12, 11 and 10 words. *)
+let test_memory_instr_alloc () =
+  let ceiling name instr =
+    let w = words_per_step instr in
+    check cb (Printf.sprintf "%s: %.1f words/step <= 13" name w) true (w <= 13.0)
+  in
+  ceiling "write" (fun c -> Api.write c 1);
+  ceiling "cas" (fun c -> ignore (Api.cas c ~expect:0 ~value:0));
+  ceiling "fas" (fun c -> ignore (Api.fas c 0));
+  ceiling "note" (fun _ -> Api.note (Event.Level 1))
+
+(* The crash consult overwrites one record per run: a read consulted by a
+   plan that never fires costs what the fast path costs (10 words
+   measured; 24 when each consult built its own record). *)
+let test_consulted_read_alloc () =
+  let fast = words_per_step (fun c -> ignore (Api.read c)) in
+  let never () = Crash.random ~seed:1 ~rate:0.0 ~max_crashes:0 () in
+  let w = words_per_step ~crash:never (fun c -> ignore (Api.read c)) in
+  check cb (Printf.sprintf "consulted read: %.1f words/step <= %.1f + 2" w fast) true
+    (w <= fast +. 2.0)
 
 (* A body exercising all four argument-free instructions — the ones
    answered from preallocated suspensions — next to ordinary memory
@@ -323,6 +349,133 @@ let test_constant_instr_resume () =
         (resumed.Engine.rr_result = replayed.Engine.rr_result);
       check cb (Printf.sprintf "resume@%d = replay (degrees)" pos) true
         (resumed.Engine.rr_degrees = replayed.Engine.rr_degrees))
+    !snaps
+
+(* A body performing every [Api.op] constructor: reads, writes, a cas
+   that may succeed and one that always fails, fas, faa, the window pair
+   [fas_open_unsafe]/[write_close_unsafe], [fas_persist], both spins (the
+   processes wait for each other's [faa] on [gate], so some park and are
+   woken; every threshold is met once p0 has finished, so none
+   deadlocks), notes with payloads, the clock, [completed_requests],
+   [poll_abort] and [yield]. *)
+let every_op_setup ctx =
+  let mem = Engine.Ctx.memory ctx in
+  let lock = Engine.Ctx.register_lock ctx "window" in
+  (lock, Memory.alloc mem ~name:"c" 0, Memory.alloc mem ~name:"d" 0, Memory.alloc mem ~name:"gate" 0)
+
+let every_op_body (lock, c, d, gate) ~pid =
+  while Api.completed_requests () < 3 do
+    Api.note (Event.Seg Event.Req_begin);
+    Api.note (Event.Level (Api.step () mod 4));
+    Api.note (Event.Custom "probe");
+    let v = Api.read c in
+    ignore (Api.cas c ~expect:v ~value:(v + 1));
+    ignore (Api.cas c ~expect:(-1) ~value:0);
+    let old = Api.fas_open_unsafe ~lock c (pid + 10) in
+    Api.write_close_unsafe ~lock d old;
+    Api.fas_persist c (old + 1) ~dst:d;
+    ignore (Api.faa gate 1);
+    Api.spin_until gate (Api.Ge 3);
+    Api.spin_abortable gate (Api.Ge (pid + 3));
+    if not (Api.poll_abort ()) then Api.yield ();
+    Api.write c (Api.fas d pid);
+    Api.note (Event.Seg Event.Req_done)
+  done
+
+let test_every_op_modes () =
+  let run mode =
+    Engine.run ~mode ~n:3 ~model:Memory.DSM ~sched:(Sched.random ~seed:9) ~crash:Crash.none
+      ~setup:every_op_setup ~body:every_op_body ()
+  in
+  let fast = run `Fast and auto = run `Auto and full = run `Full in
+  check cb "fast = auto" true (fast = auto);
+  check cb "fast = full" true (fast = full);
+  check ci "every request served" 9 (Engine.total_completed fast);
+  (* 19 instructions per request, a last [completed_requests] and a first
+     dispatch per process: every step beyond those woke a parked spin. *)
+  check cb "a spin parked and was woken" true (fast.Engine.steps > (9 * 19) + 3 + 3)
+
+let test_every_op_resume () =
+  let crash () = Crash.random ~seed:3 ~rate:0.04 ~max_crashes:4 () in
+  let go ?from ?snap decisions =
+    Engine.run_resumable ?from ?snap ~snap_gap:(if snap = None then 0 else 1) ~record:true
+      ~decisions ~n:3 ~model:Memory.DSM ~crash ~setup:every_op_setup ~body:every_op_body ()
+  in
+  let base = Array.init 60 (fun i -> (i * 5) mod 3) in
+  let snaps = ref [] in
+  let rr = go ~snap:(fun s -> snaps := s :: !snaps) base in
+  check cb "the plan crashed someone" true (rr.Engine.rr_result.Engine.total_crashes > 0);
+  check cb "snapshots taken" true (List.length !snaps > 2);
+  List.iter
+    (fun s ->
+      let pos = Engine.Snap.pos s in
+      let decisions =
+        Array.init (pos + 30) (fun i ->
+            if i >= pos then i + 1 else if i < Array.length base then base.(i) else 0)
+      in
+      let resumed = go ~from:s decisions and replayed = go decisions in
+      check cb (Printf.sprintf "resume@%d = replay (result)" pos) true
+        (resumed.Engine.rr_result = replayed.Engine.rr_result);
+      check cb (Printf.sprintf "resume@%d = replay (degrees)" pos) true
+        (resumed.Engine.rr_degrees = replayed.Engine.rr_degrees))
+    !snaps
+
+(* The consult record is overwritten per instruction, so the stream is
+   observed with its fields copied out.  Under `Auto and `Full (crash-free
+   and under [Crash.random]) the hook sees the same stream.  Across a
+   checkpoint resume the plan is wound forward over the journal's copies:
+   [Crash.record_fired] copies the fields of every consult it fires on,
+   winding included, so a resumed run reports the fired list of the run
+   it replays — which a journal holding the shared record would break. *)
+let test_on_op_stream () =
+  let stream mode crash =
+    let seen = ref [] in
+    let on_op (i : Crash.op_info) =
+      seen :=
+        (i.Crash.pid, i.Crash.step, i.Crash.op_index, i.Crash.kind, Crash.cell_name i, Crash.note i,
+         i.Crash.unsafe_wrt)
+        :: !seen
+    in
+    let res =
+      Engine.run ~mode ~on_op ~n:3 ~model:Memory.DSM ~sched:(Sched.random ~seed:9) ~crash:(crash ())
+        ~setup:every_op_setup ~body:every_op_body ()
+    in
+    (res, List.rev !seen)
+  in
+  let none () = Crash.none and random () = Crash.random ~seed:5 ~rate:0.03 ~max_crashes:3 () in
+  List.iter
+    (fun (label, plan) ->
+      let ((res, ops) as auto) = stream `Auto plan in
+      check cb (label ^ ": auto = full") true (auto = stream `Full plan);
+      check ci (label ^ ": one consult per instruction step") (List.length ops)
+        (List.length (List.sort_uniq compare (List.map (fun (_, s, _, _, _, _, _) -> s) ops)));
+      check cb (label ^ ": notes carry their payload") true
+        (List.exists (fun (_, _, _, _, _, n, _) -> n = Some (Event.Custom "probe")) ops);
+      check cb (label ^ ": the window was seen open") true
+        (List.exists (fun (_, _, _, _, _, _, u) -> u <> []) ops);
+      check cb (label ^ ": work happened") true (Engine.total_completed res > 0))
+    [ ("crash-free", none); ("random", random) ];
+  let fired_of ?from ?snap decisions =
+    let fired = ref (fun () -> []) in
+    let crash () =
+      let plan, get = Crash.record_fired (Crash.random ~seed:3 ~rate:0.04 ~max_crashes:4 ()) in
+      fired := get;
+      plan
+    in
+    ignore
+      (Engine.run_resumable ?from ?snap ~snap_gap:(if snap = None then 0 else 1) ~decisions ~n:3
+         ~model:Memory.DSM ~crash ~setup:every_op_setup ~body:every_op_body ());
+    List.map (fun f -> (f.Crash.f_pid, f.Crash.f_op_index, f.Crash.f_step, f.Crash.f_point)) (!fired ())
+  in
+  let base = Array.init 60 (fun i -> (i * 5) mod 3) in
+  let snaps = ref [] in
+  check cb "the plan fired" true (fired_of ~snap:(fun s -> snaps := s :: !snaps) base <> []);
+  List.iter
+    (fun s ->
+      let pos = Engine.Snap.pos s in
+      let decisions = Array.init (pos + 30) (fun i -> if i < Array.length base then base.(i) else 0) in
+      check cb (Printf.sprintf "resume@%d: fired stream = replay" pos) true
+        (fired_of ~from:s decisions = fired_of decisions))
     !snaps
 
 (* ------------------------------------------------------------------ *)
@@ -681,10 +834,17 @@ let () =
           Alcotest.test_case "constant instructions: words/step ceiling" `Quick
             test_constant_instr_alloc;
           Alcotest.test_case "read: words/step ceiling" `Quick test_read_alloc;
+          Alcotest.test_case "write/cas/fas/note: words/step ceiling" `Quick
+            test_memory_instr_alloc;
+          Alcotest.test_case "consulted read: words/step ceiling" `Quick test_consulted_read_alloc;
           Alcotest.test_case "constant instructions: fast/auto/full identity" `Quick
             test_constant_instr_modes;
           Alcotest.test_case "constant instructions: resume = replay under crashes" `Quick
             test_constant_instr_resume;
+          Alcotest.test_case "every instruction: fast/auto/full identity" `Quick test_every_op_modes;
+          Alcotest.test_case "every instruction: resume = replay under crashes" `Quick
+            test_every_op_resume;
+          Alcotest.test_case "on_op stream: auto = full, resume = replay" `Quick test_on_op_stream;
         ] );
       ( "fixed-cost",
         [

@@ -85,9 +85,9 @@ let test_fas_faa_semantics () =
 (* Crash plans                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let info ?(pid = 0) ?(step = 0) ?(op_index = 0) ?(kind = Api.Read) ?cell ?note
-    ?(unsafe_wrt = []) () =
-  { Crash.pid; step; op_index; kind; cell; note; unsafe_wrt }
+let info ?(pid = 0) ?(step = 0) ?(op_index = 0) ?(kind = Api.Read) ?note ?(unsafe_wrt = []) () =
+  let op : Api.op = match note with Some n -> Api.Note n | None -> Api.Yield in
+  { Crash.pid; step; op_index; kind; op; unsafe_wrt }
 
 let test_crash_none () =
   check cb "no crash" true (Crash.on_op Crash.none (info ()) = Crash.No_crash)

@@ -312,7 +312,7 @@ let test_por_class_table () =
 (* ------------------------------------------------------------------ *)
 
 let op_info ?(pid = 0) ?(step = 0) ?(op_index = 0) () =
-  { Crash.pid; step; op_index; kind = Api.Read; cell = None; note = None; unsafe_wrt = [] }
+  { Crash.pid; step; op_index; kind = Api.Read; op = Api.Yield; unsafe_wrt = [] }
 
 let is_crash = function Crash.Crash _ -> true | Crash.No_crash -> false
 
